@@ -421,19 +421,22 @@ _CHECKPOINT_BYTES = (16 + 1 + 1) * 4
 
 def _sample_metrics(
     run, engine: str, fallback: bool, error: float,
-    accuracy: Optional[float] = None,
+    accuracy: Optional[float] = None, recorder: Optional[str] = None,
 ) -> dict:
     """The per-sample :class:`Metrics` rollup, as a picklable dict.
 
     Built once per finished sample (cold path), so it is collected
     unconditionally — ``REPRO_METRICS`` only gates whether the parent
-    *writes* the merged rollups anywhere.
+    *writes* the merged rollups anywhere. ``recorder`` names the
+    recorder that wrote the commit log a replayed sample consumed.
     """
     result = run.result
     stats = result.runtime_stats
     metrics = Metrics()
     metrics.count("samples")
     metrics.count(f"engine.{engine}")
+    if recorder is not None:
+        metrics.count(f"engine.record.{recorder}")
     if fallback:
         metrics.count("replay_fallbacks")
     metrics.count("outages", result.outages)
@@ -524,6 +527,7 @@ def _execute_sample(spec: SampleSpec) -> SampleRun:
     )
     run = None
     engine = "interp"
+    recorder = None
     fallback = False
     if experiment_replay() or experiment_batch():
         record = _worker_records.get(kkey)
@@ -536,6 +540,7 @@ def _execute_sample(spec: SampleSpec) -> SampleRun:
                     mode=spec.mode, bits=spec.bits,
                     replayable=record.replayable,
                     reason=record.reason or None, length=record.length,
+                    recorder=record.recorder,
                 )
             if PROFILER.enabled and record.replayable:
                 # One folded profile per configuration (the replayed
@@ -566,6 +571,7 @@ def _execute_sample(spec: SampleSpec) -> SampleRun:
                     ),
                 )
                 engine = "replay"
+                recorder = record.recorder
             except ReplayDiverged as exc:
                 run = None  # this sample left the log; replay it live
                 fallback = True
@@ -596,7 +602,8 @@ def _execute_sample(spec: SampleSpec) -> SampleRun:
             ),
         )
     return _finalize_sample(
-        spec, run, workload, reference, trace, energy, engine, fallback
+        spec, run, workload, reference, trace, energy, engine, fallback,
+        recorder,
     )
 
 
@@ -609,6 +616,7 @@ def _finalize_sample(
     energy: EnergyModel,
     engine: str,
     fallback: bool,
+    recorder: Optional[str] = None,
 ) -> SampleRun:
     """Grade one finished intermittent run into a :class:`SampleRun`.
 
@@ -637,7 +645,9 @@ def _finalize_sample(
         skim_taken=run.result.skim_taken,
         error=error,
         accuracy=accuracy,
-        metrics=_sample_metrics(run, engine, fallback, error, accuracy),
+        metrics=_sample_metrics(
+            run, engine, fallback, error, accuracy, recorder
+        ),
         ledger=_sample_ledger(run, energy),
     )
 
@@ -737,7 +747,7 @@ def _run_config_group(specs: List[SampleSpec]) -> List[SampleRun]:
             results.append(
                 _finalize_sample(
                     s, run, workload, reference, traces[s.trace_index],
-                    energies[s.runtime], "batch", False,
+                    energies[s.runtime], "batch", False, record.recorder,
                 )
             )
     return results

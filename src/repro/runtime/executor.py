@@ -96,13 +96,21 @@ class IntermittentExecutor:
         #: True if the core loses register state on outage (Clank-style).
         self.volatile_core = runtime.name != "nvp"
 
-    def run(self, max_wall_ms: int = 10_000_000, carry_overhead: int = 0) -> RunResult:
+    def run(
+        self,
+        max_wall_ms: int = 10_000_000,
+        carry_overhead: int = 0,
+        ledger: Optional[ProgressLedger] = None,
+    ) -> RunResult:
         """Run to halt, timeout or exhaustion.
 
-        ``carry_overhead`` pre-loads the pending-overhead account: the
-        replay engine's skim handoff uses it to charge the restore cost
-        of the restore that consumed the skim register (which happened
-        on the replay side, before this executor took over)."""
+        ``carry_overhead`` pre-loads the pending-overhead account and
+        ``ledger`` continues an existing attribution: the replay
+        engine's skim handoff uses both to charge the restore that
+        consumed the skim register (which happened on the replay side,
+        before this executor took over) and to keep the re-execution
+        debt the replay side accrued, so the live suffix books redone
+        cycles as ``reexec`` exactly like an all-live run."""
         cpu = self.cpu
         supply = self.supply
         runtime = self.runtime
@@ -118,7 +126,8 @@ class IntermittentExecutor:
         # unpaid remainder of the replay-side restore that consumed the
         # skim register, so the account opens as restore cost.
         pending_kind = "restore"
-        ledger = ProgressLedger()
+        if ledger is None:
+            ledger = ProgressLedger()
         timed_out = False
         stalled_restores = 0
         idle_ticks = 0

@@ -387,14 +387,13 @@ def finish_replay_run(
         # target (exactly what the live path does).
         live_runtime.checkpoint = checkpoint
     elapsed = supply.tick - start_tick
+    # The live suffix continues the replay-side ledger: its
+    # re-execution debt is still owed, and the suffix repays it first.
     handoff = live.run(
-        max_wall_ms=max_wall_ms - elapsed, carry_overhead=pending
+        max_wall_ms=max_wall_ms - elapsed, carry_overhead=pending,
+        ledger=ledger,
     )
     _merge_stats(policy.stats, handoff.runtime_stats)
-    # The sample's attribution is replay-side work plus the live suffix
-    # (the live ledger already booked the carried restore cost).
-    ledger.close()
-    ledger.merge(handoff.ledger)
     result = RunResult(
         completed=handoff.completed,
         skim_taken=True,

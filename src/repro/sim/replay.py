@@ -3,8 +3,10 @@
 Every intermittent sample of one (workload, scale, mode, bits)
 configuration executes the *same deterministic instruction stream* —
 the power trace only decides where outages cut it. :func:`record_run`
-therefore executes the program once under continuous power on the fast
-interpreter and captures a **commit log**:
+therefore executes the program once under continuous power and captures
+a **commit log** — in C when the native recorder (:mod:`repro.sim.native`)
+is available, else with the per-instruction Python recorder here, which
+is also the oracle the native one is tested against:
 
 * the retired PC and cycle cost of every instruction (stored as a
   cumulative cost prefix sum, so the cost of any stream segment is one
@@ -38,8 +40,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
-
-from .superblock import record_superblocks
 
 #: Instructions between architectural keyframes. Reconstructing the
 #: state at an arbitrary position (the skim handoff does this once per
@@ -83,6 +83,7 @@ class ReplayRecord:
         "final_outputs",
         "replayable",
         "reason",
+        "recorder",
         "batch",
         "_progress_memo",
         "_war_memo",
@@ -115,6 +116,9 @@ class ReplayRecord:
         self.final_outputs: Dict[str, List[int]] = {}
         self.replayable = True
         self.reason = ""
+        #: Which recorder wrote the log: "native" when the native
+        #: recorder ran it to the end, else "python".
+        self.recorder = "python"
         #: Optional vectorized index (repro.sim.batch_replay.BatchIndex)
         #: attached by the batch backend; None (or the False sentinel
         #: when numpy is unavailable) falls back to the scalar scans.
@@ -347,14 +351,22 @@ def record_run(
     inputs,
     keyframe_interval: int = DEFAULT_KEYFRAME_INTERVAL,
     max_instructions: int = 100_000_000,
+    *,
+    native: bool = True,
 ) -> ReplayRecord:
     """Execute once under continuous power, recording the commit log.
 
-    ``kernel`` is an :class:`~repro.core.anytime.AnytimeKernel`; the run
-    uses the fast interpreter with recording hooks installed. Marks the
-    record non-replayable (rather than raising) when the configuration
-    or the observed traffic violates the replay preconditions, so
-    callers can cache the verdict and fall back to live interpretation.
+    ``kernel`` is an :class:`~repro.core.anytime.AnytimeKernel`. The
+    native recorder (:mod:`repro.sim.native`) writes the log when it is
+    available and ``native`` is true; it hands back to the Python
+    recorder below at the first instruction it does not model, and the
+    Python recorder also does all the work when the native one cannot
+    be built. Either way the record is field for field the one the
+    Python recorder alone produces; ``record.recorder`` names which one
+    wrote it. Marks the record non-replayable (rather than raising) when
+    the configuration or the observed traffic violates the replay
+    preconditions, so callers can cache the verdict and fall back to
+    live interpretation.
     """
     record = ReplayRecord(keyframe_interval)
     config = kernel.config
@@ -367,7 +379,33 @@ def record_run(
         return record
 
     cpu = kernel.make_cpu(inputs)
+    record.peek_costs = cpu._peek_costs
+    pos = total = 0
+    if native:
+        from .native import native_recorder, record_native
 
+        fn = native_recorder()
+        if fn is not None:
+            pos, total = record_native(fn, cpu, record, max_instructions)
+            if cpu.halted:
+                record.recorder = "native"
+    length = _record_python(record, cpu, pos, total, max_instructions)
+    if length is None:
+        return record
+    record.length = length
+    record.final_outputs = kernel.read_outputs(cpu)
+    return record
+
+
+def _record_python(
+    record: ReplayRecord, cpu, pos: int, total: int, max_instructions: int
+) -> Optional[int]:
+    """The per-instruction recorder: the oracle the native one matches.
+
+    Continues the log from stream position ``pos`` (``total`` cycles
+    retired so far) with the CPU in the state before that position.
+    Returns the stream length once the program halts, or None after
+    marking the record non-replayable."""
     # Replay models memory as a single non-volatile image rebuilt from
     # the store log; volatile regions (wiped on outage) and device
     # regions (read side effects) break that model.
@@ -398,18 +436,12 @@ def record_run(
     cpu.store_hook = store_hook
     cpu.skim_hook = skim_hook
 
-    # Superinstruction fast path: fused runs of loads / single-cycle ALU
-    # execute in one call and their log rows are appended in bulk from
-    # the span's pre-computed costs (actual == worst-case for every
-    # member, so the per-instruction cost-deviation check is vacuous).
-    rec_blocks = record_superblocks(cpu)
-
     handlers = cpu._handlers
     memory = cpu.memory
     regs = cpu.regs.regs
     flags = cpu.flags
     peek_costs = cpu._peek_costs
-    record.peek_costs = peek_costs
+    keyframe_interval = record.keyframe_interval
     pcs = record.pcs
     cum = record.cum_cost
     kinds = record.mem_kind
@@ -417,65 +449,15 @@ def record_run(
     sizes = record.mem_size
     keyframes = record.keyframes
 
-    total = 0
-    pos = 0
     try:
         while not cpu.halted:
             if pos >= max_instructions:
                 record.replayable = False
                 record.reason = "instruction limit exceeded while recording"
-                return record
+                return None
             pc = cpu.pc
-            at_interval = pos % keyframe_interval
-            if at_interval == 0:
+            if pos % keyframe_interval == 0:
                 keyframes.append((pos, tuple(regs), flags.snapshot(), pc))
-            if rec_blocks is not None:
-                blk = rec_blocks[pc]
-                if (
-                    blk is not None
-                    and at_interval + blk[1] <= keyframe_interval
-                    and pos + blk[1] <= max_instructions
-                ):
-                    _, blen, cost_prefix, load_flags, block_total = blk
-                    blk[0]()
-                    pcs.extend(range(pc, pc + blen))
-                    for c in cost_prefix:
-                        cum.append(total + c)
-                    total += block_total
-                    if pending:
-                        it = 0
-                        for is_load in load_flags:
-                            if is_load:
-                                addr = pending[it + 1]
-                                size = pending[it + 2]
-                                it += 3
-                                kinds.append(_LOAD)
-                                addrs.append(addr)
-                                sizes.append(size)
-                                ok = False
-                                for base, span_end in safe_spans:
-                                    if base <= addr and addr + size <= span_end:
-                                        ok = True
-                                        break
-                                if not ok:
-                                    record.replayable = False
-                                    record.reason = (
-                                        f"access at {addr:#010x} leaves "
-                                        "non-volatile RAM"
-                                    )
-                                    return record
-                            else:
-                                kinds.append(0)
-                                addrs.append(0)
-                                sizes.append(0)
-                        del pending[:]
-                    else:
-                        for _ in range(blen):
-                            kinds.append(0)
-                            addrs.append(0)
-                            sizes.append(0)
-                    pos += blen
-                    continue
             cost = handlers[pc]()
             # The replay fast-forward (``advance``) relies on worst-case
             # and actual costs differing by at most one cycle; anything
@@ -486,7 +468,7 @@ def record_run(
                     f"cost of pc {pc} ({cost}) strays from its worst case "
                     f"({peek_costs[pc]}) by more than one cycle"
                 )
-                return record
+                return None
             total += cost
             pcs.append(pc)
             cum.append(total)
@@ -516,7 +498,7 @@ def record_run(
                     record.reason = (
                         f"access at {addr:#010x} leaves non-volatile RAM"
                     )
-                    return record
+                    return None
             else:
                 kinds.append(0)
                 addrs.append(0)
@@ -525,8 +507,5 @@ def record_run(
     except Exception as exc:  # faulting programs replay live
         record.replayable = False
         record.reason = f"recording run faulted: {exc}"
-        return record
-
-    record.length = pos
-    record.final_outputs = kernel.read_outputs(cpu)
-    return record
+        return None
+    return pos

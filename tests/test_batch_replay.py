@@ -225,6 +225,37 @@ class TestGridDifferential:
         assert run_batch_group(kernel, record, workload.inputs, []) == []
 
 
+class TestLedgerAgreement:
+    def test_three_engines_book_identical_ledgers(self, monkeypatch):
+        """MatMul swp 8-bit on Clank at the paper's 9 x 3 grid: sample 14
+        (trace 4, invocation 2) takes a skim handoff while re-execution
+        debt is outstanding. The live suffix must keep repaying that
+        debt, so replay and batch book every bucket exactly as the
+        interpreter does."""
+        _serial_env(monkeypatch)
+        setup = ExperimentSetup(trace_count=9, invocations=3)
+        workload = make_workload("MatMul", setup.scale)
+        environment = _environment(workload, setup)
+        reference = workload.decoded_reference()
+
+        def ledgers(engine_flag):
+            for key in ("REPRO_REPLAY", "REPRO_BATCH"):
+                monkeypatch.delenv(key, raising=False)
+            if engine_flag:
+                monkeypatch.setenv(engine_flag, "1")
+            _worker_records.clear()
+            result = run_benchmark(
+                workload, workload.technique, 8, "clank", setup,
+                environment, reference,
+            )
+            return [run.ledger["cycles"] for run in result.runs]
+
+        interp = ledgers(None)
+        assert ledgers("REPRO_REPLAY") == interp
+        assert ledgers("REPRO_BATCH") == interp
+        assert interp[14]["reexec"] == 16
+
+
 class TestVectorKernels:
     @needs_numpy
     def test_war_oracle_matches_scalar_scan(self):
