@@ -511,7 +511,7 @@ def cmd_bench(args) -> int:
 
 
 def _bench_grid(args) -> int:
-    """Grid harness: interpreter vs replay vs batch on the fig10 grid."""
+    """Grid harness: interpreter vs batch on the fig10 grid."""
     import pathlib
 
     from . import benchmarking
@@ -845,11 +845,11 @@ def main(argv: Optional[list] = None) -> int:
     bench_parser.add_argument("--check", action="store_true",
                               help="interp only: fail on >30%% regression vs BENCH_interp.json")
     bench_parser.add_argument("--grid", action="store_true",
-                              help="time the fig10 grid on all three engines "
-                                   "(interpreter, replay, batch) and write "
-                                   "BENCH_grid.json; fails if any engine "
-                                   "diverges or a rate regresses >30%% vs the "
-                                   "history median")
+                              help="time the fig10 grid on both engines "
+                                   "(interpreter, batch) and the result store, "
+                                   "and write BENCH_grid.json; fails if the "
+                                   "engines diverge or the batch rate regresses "
+                                   ">30%% vs the history median")
     bench_parser.add_argument("--reps", type=int, default=None,
                               help="interp/grid: timing repetitions per config")
     bench_parser.add_argument("--output", default=None,

@@ -51,13 +51,14 @@ HISTORY_WINDOW = 20
 
 #: The grid harness times the Figure-10 configuration grid of this
 #: workload (precise + 8-/4-bit anytime builds on Clank, 9 traces x 3
-#: invocations each) with the interpreter and with the replay engine.
+#: invocations each) with the interpreter and with the batch engine.
 GRID_WORKLOAD = "MatMul"
 GRID_RUNTIME = "clank"
 
 #: The NN-inference cross-check appended to every grid bench: the same
 #: three-config grid on the MLP classifier under the progress runtime,
-#: one untimed pass per engine, gated on bit-identity only (timing
+#: one untimed pass per engine (interpreter and batch), gated on
+#: bit-identity only (timing
 #: history stays a pure MatMul/clank series).
 NN_GRID_WORKLOAD = "MLP"
 NN_GRID_RUNTIME = "progress"
@@ -171,7 +172,6 @@ def grid_history_record(payload: dict) -> dict:
         "t": round(time.time(), 1),
         "scale": grid["scale"],
         "machine_ops_per_s": payload["machine_ops_per_s"],
-        "normalized_replay": grid["normalized_replay"],
         "normalized_batch": grid["normalized_batch"],
         "store_speedup": grid.get("store_speedup"),
         "identical": grid["identical"],
@@ -186,10 +186,10 @@ def check_grid_history(
 ) -> List[str]:
     """Gate grid rates against the rolling median of the grid history.
 
-    Mirrors :func:`check_history` for the per-sample engines: per rate
-    (replay and batch), the floor is ``median(last window grid records)
-    * (1 - tolerance)``. Records from before a rate existed simply
-    don't contribute to its median; an empty history passes trivially.
+    Mirrors :func:`check_history` for the batch engine's rate: the
+    floor is ``median(last window grid records) * (1 - tolerance)``.
+    Records from before the rate existed simply don't contribute to its
+    median; an empty history passes trivially.
     Only records at the payload's scale participate — normalized rates
     are not comparable across grid scales (records predating the scale
     stamp are treated as default-scale).
@@ -203,10 +203,7 @@ def check_grid_history(
     records = records[-window:]
     grid = payload["grid"]
     failures = []
-    for key, label in (
-        ("normalized_replay", "replay"),
-        ("normalized_batch", "batch"),
-    ):
+    for key, label in (("normalized_batch", "batch"),):
         values = [
             r[key] for r in records if isinstance(r.get(key), (int, float))
         ]
@@ -337,22 +334,22 @@ def _grid_sample_tuples(results) -> List[tuple]:
 
 
 def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
-    """Time the Figure-10 grid: interpreter vs replay vs batch engines,
-    then the content-addressed store cold vs warm.
+    """Time the Figure-10 grid: interpreter vs batch engine, then the
+    content-addressed store cold vs warm.
 
     All passes run the identical serial grid (``REPRO_JOBS``,
-    ``REPRO_REPLAY``, ``REPRO_BATCH`` and ``REPRO_STORE`` are controlled
-    here, overriding the environment). Recording is timed as its own
-    phase: ``record_s`` is a cold rebuild of every config's commit log,
-    while the replay and batch passes then run against *warm* records —
-    one record pass serves the whole grid regardless of engine, and the
-    engine passes never re-record (regression-tested in
-    ``tests/test_store.py``). The store phases both use the batch
-    engine: ``store_cold_s`` computes the grid into an empty store
-    (wiped every rep), ``store_warm_s`` reruns it as pure cache hits;
-    their ratio is ``store_speedup``. Sample results from every pass
-    are compared field by field; ``identical`` reports the outcome
-    across all engines *and* the store's cold/warm answers.
+    ``REPRO_BATCH`` and ``REPRO_STORE`` are controlled here, overriding
+    the environment). Recording is timed as its own phase: ``record_s``
+    is a cold rebuild of every config's commit log, while the batch
+    pass then runs against *warm* records — one record pass serves the
+    whole grid, and the engine passes never re-record
+    (regression-tested in ``tests/test_store.py``). The store phases
+    both use the batch engine: ``store_cold_s`` computes the grid into
+    an empty store (wiped every rep), ``store_warm_s`` reruns it as
+    pure cache hits; their ratio is ``store_speedup``. Sample results
+    from every pass are compared field by field; ``identical`` reports
+    the outcome across both engines *and* the store's cold/warm
+    answers.
     """
     import shutil
     import tempfile
@@ -394,7 +391,7 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
 
     saved = {
         key: os.environ.pop(key, None)
-        for key in ("REPRO_REPLAY", "REPRO_JOBS", "REPRO_BATCH", STORE_ENV)
+        for key in ("REPRO_JOBS", "REPRO_BATCH", STORE_ENV)
     }
     try:
         one_pass()  # warm the shared workload/kernel/trace caches
@@ -411,14 +408,6 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
             build_records()
             record_times.append(time.perf_counter() - start)
 
-        os.environ["REPRO_REPLAY"] = "1"
-        replay_times: List[float] = []
-        for _ in range(reps):
-            start = time.perf_counter()
-            replay_results = one_pass()
-            replay_times.append(time.perf_counter() - start)
-
-        del os.environ["REPRO_REPLAY"]
         os.environ["REPRO_BATCH"] = "1"
         batch_times: List[float] = []
         for _ in range(reps):
@@ -469,9 +458,6 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
             )
 
         nn_interp = nn_pass()
-        os.environ["REPRO_REPLAY"] = "1"
-        nn_replay = nn_pass()
-        del os.environ["REPRO_REPLAY"]
         os.environ["REPRO_BATCH"] = "1"
         nn_batch = nn_pass()
     finally:
@@ -482,28 +468,23 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
                 os.environ[key] = value
 
     nn_runs = [run for result in nn_interp for run in result.runs]
-    nn_identical = (
-        nn_runs == [run for result in nn_replay for run in result.runs]
-        and nn_runs == [run for result in nn_batch for run in result.runs]
-    )
+    nn_identical = nn_runs == [run for result in nn_batch for run in result.runs]
     nn_accuracy = next(
         (r.median_accuracy for r in nn_interp if r.bits == 8), None
     )
     interp_tuples = _grid_sample_tuples(interp_results)
     identical = (
-        interp_tuples == _grid_sample_tuples(replay_results)
-        and interp_tuples == _grid_sample_tuples(batch_results)
+        interp_tuples == _grid_sample_tuples(batch_results)
         and interp_tuples == _grid_sample_tuples(store_cold_results)
         and interp_tuples == _grid_sample_tuples(store_warm_results)
     )
     interp_s = statistics.median(interp_times)
     record_s = statistics.median(record_times)
-    replay_s = statistics.median(replay_times)
     batch_s = statistics.median(batch_times)
     store_cold_s = statistics.median(store_cold_times)
     store_warm_s = statistics.median(store_warm_times)
     return {
-        "schema": 3,
+        "schema": 4,
         "machine_ops_per_s": round(score, 1),
         "reps": reps,
         "grid": {
@@ -515,18 +496,14 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
             "identical": identical,
             "interp_s": round(interp_s, 4),
             "record_s": round(record_s, 4),
-            "replay_s": round(replay_s, 4),
             "batch_s": round(batch_s, 4),
-            "speedup": round(interp_s / replay_s, 3),
             "batch_speedup": round(interp_s / batch_s, 3),
             "interp_samples_per_s": round(samples / interp_s, 2),
-            "replay_samples_per_s": round(samples / replay_s, 2),
             "batch_samples_per_s": round(samples / batch_s, 2),
             "store_cold_s": round(store_cold_s, 4),
             "store_warm_s": round(store_warm_s, 4),
             "store_speedup": round(store_cold_s / store_warm_s, 3),
             # Machine-independent: samples/s per machine-loop op/s.
-            "normalized_replay": round(samples / replay_s / score, 9),
             "normalized_batch": round(samples / batch_s / score, 9),
         },
         "nn": {
@@ -575,13 +552,9 @@ def format_grid_bench(payload: dict) -> str:
         f"{grid['workload']} fig10 grid on {grid['runtime']} "
         f"({grid['samples']} samples, scale={grid['scale']}, "
         f"median of {payload['reps']} reps): {verdict}",
-        f"  record  {grid['record_s']:.2f}s cold "
-        f"(shared by replay + batch)",
+        f"  record  {grid['record_s']:.2f}s cold (shared by batch + store)",
         f"  interp  {grid['interp_s']:.2f}s "
         f"({grid['interp_samples_per_s']:.0f} samples/s)",
-        f"  replay  {grid['replay_s']:.2f}s "
-        f"({grid['replay_samples_per_s']:.0f} samples/s, "
-        f"{grid['speedup']:.2f}x, normalized {grid['normalized_replay']:.2e})",
         f"  batch   {grid['batch_s']:.2f}s "
         f"({grid['batch_samples_per_s']:.0f} samples/s, "
         f"{grid['batch_speedup']:.2f}x, normalized {grid['normalized_batch']:.2e})",

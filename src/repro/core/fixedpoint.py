@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
 
 class FixedPointFormat:
     """An unsigned Q-format: ``total_bits`` wide with ``frac_bits``
@@ -48,6 +46,8 @@ class FixedPointFormat:
 
     def quantization_error(self, values: Sequence[float]) -> float:
         """Max relative round-trip error over ``values`` (0 for all-zero)."""
+        import numpy as np
+
         values = np.asarray(values, dtype=float)
         decoded = np.array(self.decode(self.encode(values)))
         denom = np.max(np.abs(values))

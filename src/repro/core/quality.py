@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 
 def nrmse(reference: Sequence[float], approximate: Sequence[float]) -> float:
     """NRMSE in percent, normalized by the reference value range.
@@ -21,6 +19,8 @@ def nrmse(reference: Sequence[float], approximate: Sequence[float]) -> float:
     Returns 0 for identical arrays; if the reference is constant the
     RMSE is normalized by ``max(|reference|, 1)`` instead of the range.
     """
+    import numpy as np
+
     ref = np.asarray(reference, dtype=float).ravel()
     approx = np.asarray(approximate, dtype=float).ravel()
     if ref.shape != approx.shape:
@@ -36,6 +36,8 @@ def nrmse(reference: Sequence[float], approximate: Sequence[float]) -> float:
 
 def psnr(reference: Sequence[float], approximate: Sequence[float], peak: float = 255.0) -> float:
     """Peak signal-to-noise ratio in dB (infinite for identical inputs)."""
+    import numpy as np
+
     ref = np.asarray(reference, dtype=float).ravel()
     approx = np.asarray(approximate, dtype=float).ravel()
     mse = float(np.mean((ref - approx) ** 2))
@@ -46,6 +48,8 @@ def psnr(reference: Sequence[float], approximate: Sequence[float], peak: float =
 
 def mean_relative_error(reference: Sequence[float], approximate: Sequence[float]) -> float:
     """Mean |error| / |reference| in percent, over nonzero references."""
+    import numpy as np
+
     ref = np.asarray(reference, dtype=float).ravel()
     approx = np.asarray(approximate, dtype=float).ravel()
     nonzero = ref != 0

@@ -21,29 +21,37 @@ grid order, so the output is identical to the serial run. With
 ``REPRO_JOBS`` unset (or 1) the original in-process loop runs —
 bit-identical to the pre-parallel harness.
 
+Engines: the live interpreter runs every sample by default and is the
+oracle the other engine is tested against. ``REPRO_BATCH=1`` selects
+record-plus-batch instead: each configuration's commit log is recorded
+once and all its samples are walked as lanes of one batch
+(:mod:`repro.runtime.batch_executor`), with bit-identical results.
+
 Caching: with ``REPRO_STORE=<dir>`` every finished configuration is
 persisted to (and served from) the global content-addressed result
 store (:mod:`repro.store`), keyed by the sha256 of its canonical config
 description — shared across runs, figure experiments, ``bench --grid``
-and the experiment service. ``REPRO_RESUME`` remains the narrower
-per-run checkpoint; both keys embed the package/schema version so stale
-caches self-invalidate. ``REPRO_FAULTS`` disables the store by design.
+and the experiment service. The key embeds the package/schema version,
+so stale entries self-invalidate, and an interrupted grid resumes from
+the configurations it already stored. ``REPRO_FAULTS`` disables the
+store by design.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import statistics
 import sys
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.anytime import AnytimeConfig, AnytimeKernel
 from ..core.quality import nrmse
-from ..errors import IncompleteRun, SampleTimeout
+from ..errors import IncompleteRun, ProgressStall
 from ..observability.ledger import LEDGER_ENV, merge_bucket_dicts
 from ..observability.manifest import record_result
 from ..observability.metrics import METRICS_ENV, Metrics
@@ -53,13 +61,13 @@ from ..power.capacitor import Capacitor
 from ..power.energy import EnergyModel
 from ..power.harvester import paper_traces
 from ..power.trace import PowerTrace
+from ..runtime.batch_executor import run_batch_group
 from ..runtime.executor import set_sample_deadline
 from ..runtime.replay_executor import replay_intermittent
 from ..sim.replay import ReplayDiverged, ReplayRecord, record_run
 from ..store.cas import (
     STORE_ENV,
     ResultStore,
-    code_schema_tag,
     config_fingerprint,
     result_payload,
 )
@@ -254,20 +262,12 @@ def experiment_jobs() -> int:
     return jobs
 
 
-def experiment_replay() -> bool:
-    """True when ``REPRO_REPLAY=1``: use the record-once/replay-per-trace
-    engine for grid samples, falling back to the interpreter per sample
-    whenever a configuration is not exactly replayable."""
-    return os.environ.get("REPRO_REPLAY", "").strip() == "1"
-
-
 def experiment_batch() -> bool:
     """True when ``REPRO_BATCH=1``: run each configuration's whole
     trace x invocation grid as one lane-parallel batch over its commit
     log (:mod:`repro.runtime.batch_executor`), demoting individual
-    samples to the per-sample replay/interpreter paths whenever the
-    batch cannot reproduce them exactly. Implies the replay engine for
-    demoted samples even when ``REPRO_REPLAY`` is unset."""
+    samples to the interpreter whenever the batch cannot reproduce
+    them exactly."""
     return os.environ.get("REPRO_BATCH", "").strip() == "1"
 
 
@@ -282,8 +282,8 @@ def experiment_sample_timeout() -> Optional[float]:
     """Per-sample wall-clock budget in seconds from
     ``REPRO_SAMPLE_TIMEOUT`` (``None`` = no timeout).
 
-    The budget is enforced *cooperatively*: :func:`_run_sample` arms the
-    executor deadline (:func:`~repro.runtime.executor.set_sample_deadline`)
+    The budget is enforced *cooperatively*: :func:`_sample_bracket` arms
+    the executor deadline (:func:`~repro.runtime.executor.set_sample_deadline`)
     so a pathological sample raises a typed
     :class:`~repro.errors.SampleTimeout` inside its own process instead
     of hanging a ``REPRO_JOBS`` worker forever."""
@@ -347,23 +347,6 @@ def experiment_store() -> Optional[ResultStore]:
     return ResultStore(raw)
 
 
-def experiment_resume_dir() -> Optional[str]:
-    """Checkpoint directory from ``REPRO_RESUME`` (``None`` = off).
-
-    When set, every finished configuration's sample list is persisted
-    to ``<dir>/<config-key>.json`` (written atomically: temp file +
-    rename, so a crash mid-write never leaves a torn result — the
-    harness practices what the paper preaches). A re-run with the same
-    environment loads those files instead of re-executing, making an
-    interrupted ``fig10``-scale grid restartable where it left off.
-    The directory is created on first use."""
-    raw = os.environ.get("REPRO_RESUME", "").strip()
-    if not raw:
-        return None
-    os.makedirs(raw, exist_ok=True)
-    return raw
-
-
 def _fault_trace(seed: int, spec: "SampleSpec") -> PowerTrace:
     """The adversarial replacement trace for one sample under
     ``REPRO_FAULTS`` — seeded per (trace index, invocation) so the grid
@@ -408,10 +391,13 @@ class SampleSpec:
 _worker_workloads: Dict[Tuple[str, str], Tuple[Workload, Tuple[float, ...]]] = {}
 _worker_kernels: Dict[Tuple[str, str, str, Optional[int]], AnytimeKernel] = {}
 _worker_traces: Dict[Tuple[int, int, int], List[PowerTrace]] = {}
-#: Commit logs for REPRO_REPLAY=1, one per kernel configuration (the
+#: Commit logs for the batch engine, one per kernel configuration (the
 #: instruction stream is input-deterministic, so every trace x
 #: invocation sample of a configuration shares the same log).
 _worker_records: Dict[Tuple[str, str, str, Optional[int]], ReplayRecord] = {}
+#: One lock per kernel configuration, so threads sharing this process
+#: (the experiment service's workers) record each log once.
+_record_locks: Dict[Tuple[str, str, str, Optional[int]], threading.Lock] = {}
 
 
 #: Bytes one register-file backup writes (16 regs + PSR + PC, one NVM
@@ -462,78 +448,60 @@ def _sample_metrics(
     return metrics.to_dict()
 
 
-def _sample_ledger(run, energy: EnergyModel) -> dict:
-    """The per-sample forward-progress buckets, as a picklable dict.
+@dataclass
+class _Config:
+    """What every sample of one configuration shares, rebuilt from a spec."""
 
-    Priced at this sample's energy model (NVP's backup tax included),
-    so energy buckets sum to the sample's total energy exactly."""
-    return run.result.ledger.bucket_dict(energy.energy_per_cycle)
-
-
-def _run_sample(spec: SampleSpec) -> SampleRun:
-    """Execute one (trace, invocation) sample; runs in a worker process.
-
-    Arms the cooperative per-sample wall-clock deadline when
-    ``REPRO_SAMPLE_TIMEOUT`` is set, so a pathological sample raises a
-    typed :class:`~repro.errors.SampleTimeout` instead of hanging its
-    worker."""
-    timeout = experiment_sample_timeout()
-    if timeout is None:
-        return _execute_sample(spec)
-    set_sample_deadline(time.monotonic() + timeout)
-    try:
-        return _execute_sample(spec)
-    finally:
-        set_sample_deadline(None)
+    workload: Workload
+    reference: Tuple[float, ...]
+    kernel: AnytimeKernel
+    traces: List[PowerTrace]
 
 
-def _execute_sample(spec: SampleSpec) -> SampleRun:
-    """The sample body: rebuild the workload/kernel/trace from the spec
-    (cached per process) and run it intermittently."""
+def _config_context(spec: SampleSpec) -> _Config:
+    """Rebuild the workload, kernel and paper traces of ``spec``'s
+    configuration, cached per process."""
     from ..workloads import make_workload
 
     wkey = (spec.workload_name, spec.scale)
-    if wkey not in _worker_workloads:
+    built = _worker_workloads.get(wkey)
+    if built is None:
         workload = make_workload(spec.workload_name, spec.scale)
-        _worker_workloads[wkey] = (workload, tuple(workload.decoded_reference()))
-    workload, default_reference = _worker_workloads[wkey]
-    reference = spec.reference if spec.reference is not None else default_reference
-
+        built = _worker_workloads.setdefault(
+            wkey, (workload, tuple(workload.decoded_reference()))
+        )
+    workload, default_reference = built
     kkey = (spec.workload_name, spec.scale, spec.mode, spec.bits)
-    if kkey not in _worker_kernels:
-        _worker_kernels[kkey] = build_anytime(workload, spec.mode, spec.bits)
-    kernel = _worker_kernels[kkey]
-
+    kernel = _worker_kernels.get(kkey)
+    if kernel is None:
+        kernel = _worker_kernels.setdefault(
+            kkey, build_anytime(workload, spec.mode, spec.bits)
+        )
     tkey = (spec.trace_count, spec.trace_duration_ms, spec.trace_seed)
-    if tkey not in _worker_traces:
-        _worker_traces[tkey] = paper_traces(
-            count=spec.trace_count,
-            duration_ms=spec.trace_duration_ms,
-            base_seed=spec.trace_seed,
+    traces = _worker_traces.get(tkey)
+    if traces is None:
+        traces = _worker_traces.setdefault(
+            tkey,
+            paper_traces(
+                count=spec.trace_count,
+                duration_ms=spec.trace_duration_ms,
+                base_seed=spec.trace_seed,
+            ),
         )
-    trace = _worker_traces[tkey][spec.trace_index]
-    faults_seed = experiment_faults()
-    if faults_seed is not None:
-        trace = _fault_trace(faults_seed, spec)
+    reference = spec.reference if spec.reference is not None else default_reference
+    return _Config(workload, reference, kernel, traces)
 
-    if TRACER.enabled:
-        TRACER.emit(
-            "sample_start", workload=spec.workload_name, scale=spec.scale,
-            mode=spec.mode, bits=spec.bits, runtime=spec.runtime,
-            trace=spec.trace_index, invocation=spec.invocation,
-        )
-    energy = EnergyModel(
-        backup_overhead=NVP_BACKUP_OVERHEAD if spec.runtime == "nvp" else 0.0
-    )
-    run = None
-    engine = "interp"
-    recorder = None
-    fallback = False
-    if experiment_replay() or experiment_batch():
+
+def _config_record(spec: SampleSpec, config: _Config) -> ReplayRecord:
+    """The configuration's commit log, recorded once per process."""
+    kkey = (spec.workload_name, spec.scale, spec.mode, spec.bits)
+    record = _worker_records.get(kkey)
+    if record is not None:
+        return record
+    with _record_locks.setdefault(kkey, threading.Lock()):
         record = _worker_records.get(kkey)
         if record is None:
-            record = record_run(kernel, workload.inputs)
-            _worker_records[kkey] = record
+            record = record_run(config.kernel, config.workload.inputs)
             if TRACER.enabled:
                 TRACER.emit(
                     "record_run", workload=spec.workload_name,
@@ -545,92 +513,86 @@ def _execute_sample(spec: SampleSpec) -> SampleRun:
             if PROFILER.enabled and record.replayable:
                 # One folded profile per configuration (the replayed
                 # samples all consume this same recorded stream).
+                program = config.kernel.compiled.program
                 PROFILER.collect_record(
-                    record,
-                    kernel.compiled.program,
-                    f"{kernel.compiled.program.name}/{spec.runtime}",
+                    record, program, f"{program.name}/{spec.runtime}"
                 )
-        if record.replayable:
-            try:
-                run = replay_intermittent(
-                    kernel,
-                    record,
-                    workload.inputs,
-                    trace,
-                    runtime=spec.runtime,
-                    capacitor=Capacitor(
-                        capacitance_f=spec.capacitor_f, v_initial=3.0, v_max=3.3
-                    ),
-                    energy_model=energy,
-                    start_tick=spec.invocation * 313,
-                    max_wall_ms=spec.max_wall_ms,
-                    watchdog_cycles=(
-                        spec.watchdog_cycles
-                        if spec.runtime in ("clank", "progress")
-                        else None
-                    ),
-                )
-                engine = "replay"
-                recorder = record.recorder
-            except ReplayDiverged as exc:
-                run = None  # this sample left the log; replay it live
-                fallback = True
-                if TRACER.enabled:
-                    TRACER.emit("replay_fallback", reason=f"diverged: {exc}")
-        else:
-            fallback = True
-            if TRACER.enabled:
-                TRACER.emit(
-                    "replay_fallback",
-                    reason=f"not-replayable: {record.reason}",
-                )
-    if run is None:
-        run = kernel.run_intermittent(
-            workload.inputs,
-            trace,
-            runtime=spec.runtime,
-            capacitor=Capacitor(
-                capacitance_f=spec.capacitor_f, v_initial=3.0, v_max=3.3
-            ),
-            energy_model=energy,
-            start_tick=spec.invocation * 313,
-            max_wall_ms=spec.max_wall_ms,
-            watchdog_cycles=(
-                spec.watchdog_cycles
-                if spec.runtime in ("clank", "progress")
-                else None
-            ),
-        )
-    return _finalize_sample(
-        spec, run, workload, reference, trace, energy, engine, fallback,
-        recorder,
+            _worker_records[kkey] = record
+    return record
+
+
+def _sample_args(spec: SampleSpec, config: _Config) -> dict:
+    """Keyword arguments of one sample's intermittent run, shared by
+    ``AnytimeKernel.run_intermittent`` and a batch lane. Under
+    ``REPRO_FAULTS`` the paper trace is swapped for an adversarial one."""
+    trace = config.traces[spec.trace_index]
+    faults_seed = experiment_faults()
+    if faults_seed is not None:
+        trace = _fault_trace(faults_seed, spec)
+    return dict(
+        trace=trace,
+        runtime=spec.runtime,
+        capacitor=Capacitor(capacitance_f=spec.capacitor_f, v_initial=3.0, v_max=3.3),
+        energy_model=EnergyModel(
+            backup_overhead=NVP_BACKUP_OVERHEAD if spec.runtime == "nvp" else 0.0
+        ),
+        start_tick=spec.invocation * 313,
+        max_wall_ms=spec.max_wall_ms,
+        watchdog_cycles=(
+            spec.watchdog_cycles if spec.runtime in ("clank", "progress") else None
+        ),
     )
 
 
-def _finalize_sample(
+@contextmanager
+def _sample_bracket(spec: SampleSpec, timeout: Optional[float]):
+    """Open one sample: its ``sample_start`` trace event and, when
+    ``REPRO_SAMPLE_TIMEOUT`` is armed, its cooperative wall-clock
+    deadline — a pathological sample then raises a typed
+    :class:`~repro.errors.SampleTimeout` instead of hanging its worker.
+    :func:`_grade` emits the matching ``sample_end``."""
+    if TRACER.enabled:
+        TRACER.emit(
+            "sample_start", workload=spec.workload_name, scale=spec.scale,
+            mode=spec.mode, bits=spec.bits, runtime=spec.runtime,
+            trace=spec.trace_index, invocation=spec.invocation,
+        )
+    if timeout is None:
+        yield
+        return
+    set_sample_deadline(time.monotonic() + timeout)
+    try:
+        yield
+    finally:
+        set_sample_deadline(None)
+
+
+def _grade(
     spec: SampleSpec,
+    config: _Config,
+    args: dict,
     run,
-    workload: Workload,
-    reference,
-    trace: PowerTrace,
-    energy: EnergyModel,
     engine: str,
-    fallback: bool,
+    fallback: bool = False,
     recorder: Optional[str] = None,
 ) -> SampleRun:
     """Grade one finished intermittent run into a :class:`SampleRun`.
 
-    Shared tail of the per-sample and batched paths, so both produce
-    identical completion errors, metrics and ledger rollups."""
+    Shared by both engines, so they produce identical completion
+    errors, metrics and ledger rollups. The ledger is priced at the
+    sample's energy model (NVP's backup tax included), so energy
+    buckets sum to the sample's total energy exactly."""
     if not run.result.completed:
         raise IncompleteRun(
             f"{spec.workload_name} [{spec.mode}/{spec.runtime}] did not "
-            f"complete on trace {trace.name!r} within {spec.max_wall_ms} ms",
+            f"complete on trace {args['trace'].name!r} within "
+            f"{spec.max_wall_ms} ms",
             outages=run.result.outages,
             active_cycles=run.result.active_cycles,
         )
+    workload = config.workload
     decoded = workload.decode(run.outputs)
-    error = nrmse(reference, decoded)
+    error = nrmse(config.reference, decoded)
     accuracy = workload.accuracy(decoded) if workload.accuracy else None
     if TRACER.enabled:
         TRACER.emit(
@@ -648,148 +610,93 @@ def _finalize_sample(
         metrics=_sample_metrics(
             run, engine, fallback, error, accuracy, recorder
         ),
-        ledger=_sample_ledger(run, energy),
+        ledger=run.result.ledger.bucket_dict(
+            args["energy_model"].energy_per_cycle
+        ),
     )
+
+
+def _interpret(
+    spec: SampleSpec, config: _Config, args: dict, fallback: bool = False
+) -> SampleRun:
+    """Run one sample on the live interpreter and grade it."""
+    run = config.kernel.run_intermittent(config.workload.inputs, **args)
+    return _grade(spec, config, args, run, "interp", fallback)
+
+
+def _run_sample(spec: SampleSpec) -> SampleRun:
+    """One grid sample on the live interpreter, the default engine."""
+    with _sample_bracket(spec, experiment_sample_timeout()):
+        config = _config_context(spec)
+        return _interpret(spec, config, _sample_args(spec, config))
+
+
+def _settle(
+    spec: SampleSpec,
+    config: _Config,
+    args: dict,
+    record: ReplayRecord,
+    run,
+    error: Optional[Exception] = None,
+) -> SampleRun:
+    """Grade one batch lane; a demoted lane's sample (or any sample of
+    a non-replayable record) runs on the interpreter instead. Lanes are
+    independent, so retrying one alone would only demote it again."""
+    if run is not None:
+        return _grade(spec, config, args, run, "batch", False, record.recorder)
+    if TRACER.enabled:
+        if not record.replayable:
+            reason = f"not-replayable: {record.reason}"
+        elif isinstance(error, ReplayDiverged):
+            reason = f"diverged: {error}"
+        else:
+            reason = f"stalled: {error}"
+        TRACER.emit("replay_fallback", reason=reason)
+    return _interpret(spec, config, args, fallback=True)
 
 
 def _run_config_group(specs: List[SampleSpec]) -> List[SampleRun]:
-    """Execute one configuration's whole grid as a lane batch.
+    """One configuration's grid on the record-plus-batch engine.
 
     All specs share (workload, scale, mode, bits, runtime) — they are
     one configuration's trace x invocation grid in grid order. The
-    happy path records once, batches every sample as a lane, and grades
-    the surviving runs; lanes the batch demotes (and situations the
-    batch refuses wholesale: event tracing, per-sample timeouts, fault
-    injection, a non-replayable record) fall back to
-    :func:`_run_sample`, whose results are bit-identical by
-    construction. Returns samples in grid order either way."""
-    from ..runtime.batch_executor import run_batch_group
-    from ..workloads import make_workload
-
+    group records once and walks every sample as a lane of one batch.
+    When event tracing or ``REPRO_SAMPLE_TIMEOUT`` is armed it walks
+    them one lane at a time instead, so each sample keeps its own
+    trace bracket and deadline. Returns samples in grid order."""
     if not specs:
         return []
-    if (
-        TRACER.enabled
-        or experiment_sample_timeout() is not None
-        or experiment_faults() is not None
-    ):
-        # Tracing hooks, cooperative deadlines and per-sample chaos
-        # traces live in the scalar paths only.
-        return [_run_sample(spec) for spec in specs]
-
-    spec = specs[0]
-    wkey = (spec.workload_name, spec.scale)
-    if wkey not in _worker_workloads:
-        workload = make_workload(spec.workload_name, spec.scale)
-        _worker_workloads[wkey] = (workload, tuple(workload.decoded_reference()))
-    workload, default_reference = _worker_workloads[wkey]
-    reference = spec.reference if spec.reference is not None else default_reference
-
-    kkey = (spec.workload_name, spec.scale, spec.mode, spec.bits)
-    if kkey not in _worker_kernels:
-        _worker_kernels[kkey] = build_anytime(workload, spec.mode, spec.bits)
-    kernel = _worker_kernels[kkey]
-
-    record = _worker_records.get(kkey)
-    if record is None:
-        record = record_run(kernel, workload.inputs)
-        _worker_records[kkey] = record
-        if PROFILER.enabled and record.replayable:
-            PROFILER.collect_record(
-                record,
-                kernel.compiled.program,
-                f"{kernel.compiled.program.name}/{spec.runtime}",
-            )
-    if not record.replayable:
-        return [_run_sample(s) for s in specs]
-
-    tkey = (spec.trace_count, spec.trace_duration_ms, spec.trace_seed)
-    if tkey not in _worker_traces:
-        _worker_traces[tkey] = paper_traces(
-            count=spec.trace_count,
-            duration_ms=spec.trace_duration_ms,
-            base_seed=spec.trace_seed,
-        )
-    traces = _worker_traces[tkey]
-
-    energies = {}
-    lane_args = []
-    for s in specs:
-        energy = energies.get(s.runtime)
-        if energy is None:
-            energy = energies[s.runtime] = EnergyModel(
-                backup_overhead=NVP_BACKUP_OVERHEAD if s.runtime == "nvp" else 0.0
-            )
-        lane_args.append(
-            dict(
-                trace=traces[s.trace_index],
-                runtime=s.runtime,
-                capacitor=Capacitor(
-                    capacitance_f=s.capacitor_f, v_initial=3.0, v_max=3.3
-                ),
-                energy_model=energy,
-                start_tick=s.invocation * 313,
-                max_wall_ms=s.max_wall_ms,
-                watchdog_cycles=(
-                    s.watchdog_cycles
-                    if s.runtime in ("clank", "progress")
-                    else None
-                ),
-            )
-        )
-    runs = run_batch_group(kernel, record, workload.inputs, lane_args)
-
-    results: List[SampleRun] = []
-    for s, run in zip(specs, runs):
-        if run is None:
-            results.append(_run_sample(s))
-        else:
-            results.append(
-                _finalize_sample(
-                    s, run, workload, reference, traces[s.trace_index],
-                    energies[s.runtime], "batch", False, record.recorder,
-                )
-            )
-    return results
+    config = _config_context(specs[0])
+    inputs = config.workload.inputs
+    timeout = experiment_sample_timeout()
+    if TRACER.enabled or timeout is not None:
+        runs = []
+        for spec in specs:
+            with _sample_bracket(spec, timeout):
+                args = _sample_args(spec, config)
+                record = _config_record(spec, config)
+                try:
+                    run = replay_intermittent(config.kernel, record, inputs, **args)
+                    error = None
+                except (ReplayDiverged, ProgressStall) as exc:
+                    run, error = None, exc
+                runs.append(_settle(spec, config, args, record, run, error))
+        return runs
+    record = _config_record(specs[0], config)
+    lane_args = [_sample_args(spec, config) for spec in specs]
+    lanes = run_batch_group(config.kernel, record, inputs, lane_args)
+    return [
+        _settle(spec, config, args, record, run)
+        for spec, args, run in zip(specs, lane_args, lanes)
+    ]
 
 
-def _resume_key(
-    name: str,
-    scale: Optional[str],
-    mode: str,
-    bits: Optional[int],
-    runtime: str,
-    setup: ExperimentSetup,
-    environment: Environment,
-) -> str:
-    """Filesystem-safe identity of one configuration's grid.
-
-    Everything that determines the samples — workload, mode, runtime,
-    grid shape and the calibrated environment — feeds the key, so a
-    resume directory can never serve results computed under different
-    knobs. The package version and result-schema version
-    (:func:`repro.store.cas.code_schema_tag`) are inputs too: bumping
-    either silently invalidates every stale checkpoint instead of
-    serving old-shape samples."""
-    fingerprint = hashlib.sha256(
-        repr(
-            (
-                code_schema_tag(),
-                setup.trace_count,
-                setup.invocations,
-                setup.trace_duration_ms,
-                setup.trace_seed,
-                setup.max_wall_ms,
-                environment.capacitor_f,
-                environment.watchdog_cycles,
-            )
-        ).encode()
-    ).hexdigest()[:12]
-    return (
-        f"{name}-{scale}-{mode}-{bits}-{runtime}-{fingerprint}".replace(
-            os.sep, "_"
-        )
-    )
+def _run_group(specs: List[SampleSpec]) -> List[SampleRun]:
+    """The pool's unit of work: one configuration's samples on the
+    batch engine under ``REPRO_BATCH=1``, else each on the interpreter."""
+    if experiment_batch():
+        return _run_config_group(specs)
+    return [_run_sample(spec) for spec in specs]
 
 
 def _sample_run_to_dict(run: SampleRun) -> dict:
@@ -821,33 +728,6 @@ def _sample_run_from_dict(data: dict) -> SampleRun:
         metrics=data.get("metrics"),
         ledger=data.get("ledger"),
     )
-
-
-def _load_resumed(directory: str, key: str) -> Optional[List[SampleRun]]:
-    """The persisted sample list for one configuration, or ``None``.
-
-    A torn or unreadable file (the crash the atomic writer prevents,
-    but also a stray partial file from an older tool) is treated as
-    absent: the configuration simply re-runs."""
-    path = os.path.join(directory, key + ".json")
-    try:
-        with open(path, "r", encoding="utf-8") as file:
-            payload = json.load(file)
-        return [_sample_run_from_dict(entry) for entry in payload["runs"]]
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def _save_resumed(directory: str, key: str, runs: List[SampleRun]) -> None:
-    """Persist one configuration's samples atomically (temp + rename),
-    so an interrupt mid-write leaves either the old state or the new —
-    never a torn file."""
-    path = os.path.join(directory, key + ".json")
-    tmp_path = path + ".tmp"
-    payload = {"runs": [_sample_run_to_dict(run) for run in runs]}
-    with open(tmp_path, "w", encoding="utf-8") as file:
-        json.dump(payload, file, separators=(",", ":"))
-    os.replace(tmp_path, path)
 
 
 def _store_payload(
@@ -892,8 +772,8 @@ def _store_lookup(
 ) -> Optional[List[SampleRun]]:
     """Cached samples for a fingerprint, or ``None`` (store off / miss).
 
-    Mirrors :func:`_load_resumed`'s tolerance: a torn or foreign entry
-    is a miss, never an error."""
+    A torn or foreign entry is a miss, never an error: the
+    configuration simply recomputes."""
     if store is None or fingerprint is None:
         return None
     payload = store.load(fingerprint)
@@ -937,100 +817,46 @@ def _sample_specs(
     ]
 
 
-def _map_samples(specs: List[SampleSpec], jobs: int) -> List[SampleRun]:
-    """Ordered, self-healing map over the grid.
+def _map_groups(
+    groups: List[List[SampleSpec]], jobs: int
+) -> List[List[SampleRun]]:
+    """Ordered, self-healing map of :func:`_run_group` over sample groups.
 
-    Serial when ``jobs <= 1``. Otherwise each spec is submitted as its
+    The interpreter's groups are single samples; the batch engine's are
+    whole configurations (their samples share one commit-log walk), so
+    ``REPRO_JOBS`` shards by sample or by configuration respectively.
+    Serial when ``jobs <= 1``. Otherwise each group is submitted as its
     own future and collected in submission order, so the merged result
-    list is independent of worker scheduling — and a failure is scoped
-    to its spec, not the grid: a sample whose worker dies (OOM killer,
-    segfaulting interpreter, ``BrokenProcessPool``) or errors in flight
-    is retried *serially in the parent* after the pool drains. One
-    aggregated stderr warning reports everything that was retried. Only
-    a sample that also fails its serial retry propagates — a
-    deterministic failure (e.g. :class:`~repro.errors.IncompleteRun`)
-    still surfaces as the typed error it is; an unlucky worker crash
-    never kills an hours-long grid."""
-    if jobs <= 1 or len(specs) <= 1:
-        return [_run_sample(spec) for spec in specs]
+    is independent of worker scheduling — and a failure is scoped to
+    its group: a group whose worker dies (OOM killer, segfaulting
+    interpreter, ``BrokenProcessPool``) or errors in flight is retried
+    *serially in the parent* after the pool drains. One aggregated
+    stderr warning reports everything that was retried. Only a group
+    that also fails its serial retry propagates — a deterministic
+    failure (e.g. :class:`~repro.errors.IncompleteRun`) still surfaces
+    as the typed error it is; an unlucky worker crash never kills an
+    hours-long grid."""
+    if jobs <= 1 or len(groups) <= 1:
+        return [_run_group(group) for group in groups]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures import TimeoutError as FutureTimeout
     from concurrent.futures.process import BrokenProcessPool
 
     # Hard per-future backstop: the in-worker deadline is cooperative,
-    # so give each result several budgets of slack before declaring the
+    # so give each sample several budgets of slack before declaring the
     # worker wedged and falling back to the serial retry.
     timeout = experiment_sample_timeout()
-    hard_cap = None if timeout is None else 4.0 * timeout + 30.0
 
-    results: List[Optional[SampleRun]] = [None] * len(specs)
+    results: List[Optional[List[SampleRun]]] = [None] * len(groups)
     failures: List[Tuple[int, str]] = []
     wedged = False
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(specs)))
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(groups)))
     try:
-        futures = [pool.submit(_run_sample, spec) for spec in specs]
-        for index, future in enumerate(futures):
-            try:
-                results[index] = future.result(timeout=hard_cap)
-            except BrokenProcessPool:
-                future.cancel()
-                failures.append((index, "worker process died"))
-            except FutureTimeout:
-                future.cancel()
-                wedged = True
-                failures.append((index, "worker exceeded the hard timeout"))
-            except Exception as exc:  # noqa: BLE001 — every spec retries
-                failures.append((index, f"{type(exc).__name__}: {exc}"))
-    finally:
-        # A wedged worker would block a waiting shutdown forever; leave
-        # it to finish (or die) on its own and reclaim the grid now.
-        pool.shutdown(wait=not wedged, cancel_futures=True)
-    if failures:
-        preview = "; ".join(
-            f"sample {index}: {reason}" for index, reason in failures[:3]
-        )
-        more = "" if len(failures) <= 3 else f" (+{len(failures) - 3} more)"
-        print(
-            f"repro: retrying {len(failures)}/{len(specs)} grid samples "
-            f"serially after worker failures [{preview}{more}]",
-            file=sys.stderr,
-        )
-        for index, _reason in failures:
-            results[index] = _run_sample(specs[index])
-    return results
-
-
-def _map_groups(
-    spec_groups: List[List[SampleSpec]], jobs: int
-) -> List[List[SampleRun]]:
-    """Ordered, self-healing map over per-configuration sample groups.
-
-    The batched engine's unit of work is a whole configuration (its
-    samples share one commit-log walk), so ``REPRO_JOBS`` shards by
-    *config* here, not by sample. Collection order and the serial-retry
-    net mirror :func:`_map_samples`: results are independent of worker
-    scheduling, and a group whose worker dies or errors re-runs
-    serially in the parent before anything propagates."""
-    if jobs <= 1 or len(spec_groups) <= 1:
-        return [_run_config_group(group) for group in spec_groups]
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures import TimeoutError as FutureTimeout
-    from concurrent.futures.process import BrokenProcessPool
-
-    timeout = experiment_sample_timeout()
-
-    results: List[Optional[List[SampleRun]]] = [None] * len(spec_groups)
-    failures: List[Tuple[int, str]] = []
-    wedged = False
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(spec_groups)))
-    try:
-        futures = [
-            pool.submit(_run_config_group, group) for group in spec_groups
-        ]
+        futures = [pool.submit(_run_group, group) for group in groups]
         for index, future in enumerate(futures):
             hard_cap = (
                 None if timeout is None
-                else (4.0 * timeout + 30.0) * max(1, len(spec_groups[index]))
+                else (4.0 * timeout + 30.0) * max(1, len(groups[index]))
             )
             try:
                 results[index] = future.result(timeout=hard_cap)
@@ -1044,20 +870,34 @@ def _map_groups(
             except Exception as exc:  # noqa: BLE001 — every group retries
                 failures.append((index, f"{type(exc).__name__}: {exc}"))
     finally:
+        # A wedged worker would block a waiting shutdown forever; leave
+        # it to finish (or die) on its own and reclaim the grid now.
         pool.shutdown(wait=not wedged, cancel_futures=True)
     if failures:
         preview = "; ".join(
-            f"config group {index}: {reason}" for index, reason in failures[:3]
+            f"group {index}: {reason}" for index, reason in failures[:3]
         )
         more = "" if len(failures) <= 3 else f" (+{len(failures) - 3} more)"
         print(
-            f"repro: retrying {len(failures)}/{len(spec_groups)} config "
-            f"groups serially after worker failures [{preview}{more}]",
+            f"repro: retrying {len(failures)}/{len(groups)} sample groups "
+            f"serially after worker failures [{preview}{more}]",
             file=sys.stderr,
         )
         for index, _reason in failures:
-            results[index] = _run_config_group(spec_groups[index])
+            results[index] = _run_group(groups[index])
     return results
+
+
+def _engine_label(metrics: Metrics) -> str:
+    """The engine(s) that computed a configuration's samples, read from
+    its merged ``engine.*`` counters: ``"interp"``, ``"batch"``, or
+    ``"batch+interp"`` when some lanes fell back to the interpreter."""
+    engines = sorted(
+        name[len("engine."):]
+        for name, count in metrics.counters.items()
+        if name.startswith("engine.") and name.count(".") == 1 and count
+    )
+    return "+".join(engines) or "none"
 
 
 def _finish_result(
@@ -1071,12 +911,7 @@ def _finish_result(
     arrived inside the :class:`SampleRun` objects.
     """
     metrics = result.merged_metrics()
-    if experiment_batch():
-        engine = "batch"
-    elif experiment_replay():
-        engine = "replay"
-    else:
-        engine = "interp"
+    engine = _engine_label(metrics)
     setup_info = {
         "scale": setup.scale,
         "trace_count": setup.trace_count,
@@ -1135,6 +970,76 @@ def _fingerprint_reference(
     return reference
 
 
+def _run_configs(
+    workload: Workload,
+    configs: Sequence[Tuple[str, Optional[int]]],
+    runtime: str,
+    setup: ExperimentSetup,
+    environment: Optional[Environment],
+    reference: Optional[Sequence[float]],
+    jobs: int,
+) -> List[BenchmarkResult]:
+    """The body of :func:`run_benchmark` and :func:`run_benchmark_suite`.
+
+    Configurations the content-addressed store already holds are served
+    from it; the rest run through :func:`_map_groups`. Serially, one
+    configuration at a time, so an interrupted grid leaves every
+    finished configuration in the store; with ``jobs > 1`` all of them
+    feed one pool, so small per-config grids still fill every worker."""
+    if workload.scale is None:
+        raise ValueError(
+            f"workload {workload.name!r} has no scale: build it with "
+            "repro.workloads.make_workload(name, scale) so every sample "
+            "can be rebuilt from its name"
+        )
+    if environment is None:
+        environment = calibrate_environment(measure_precise_cycles(workload), setup)
+    if reference is None:
+        reference = workload.decoded_reference()
+    store = experiment_store()
+    fp_reference = _fingerprint_reference(workload, reference)
+    batch = experiment_batch()
+    waves = [list(configs)] if jobs > 1 else [[config] for config in configs]
+    results: List[BenchmarkResult] = []
+    for wave in waves:
+        wave_results = []
+        pending = []
+        for mode, bits in wave:
+            result = BenchmarkResult(workload.name, mode, bits, runtime)
+            wave_results.append(result)
+            fingerprint = None
+            if store is not None:
+                fingerprint = config_fingerprint(
+                    workload.name, workload.scale, mode, bits, runtime,
+                    setup, environment, fp_reference,
+                )
+            hit = _store_lookup(store, fingerprint)
+            if hit is not None:
+                result.runs.extend(hit)
+                continue
+            specs = _sample_specs(
+                workload, mode, bits, runtime, setup, environment, reference
+            )
+            pending.append((result, fingerprint, specs))
+        if pending:
+            if batch:
+                groups = [specs for _, _, specs in pending]
+            else:
+                groups = [[spec] for _, _, specs in pending for spec in specs]
+            runs = iter(
+                run for group in _map_groups(groups, jobs) for run in group
+            )
+            for result, fingerprint, specs in pending:
+                result.runs.extend(next(runs) for _ in specs)
+                if store is not None:
+                    store.put(
+                        fingerprint,
+                        _store_payload(result, fingerprint, workload.scale, setup),
+                    )
+        results.extend(_finish_result(result, setup) for result in wave_results)
+    return results
+
+
 def run_benchmark(
     workload: Workload,
     mode: str,
@@ -1148,125 +1053,15 @@ def run_benchmark(
     """Run one configuration over all traces x invocations.
 
     ``jobs`` defaults to :func:`experiment_jobs` (the ``REPRO_JOBS``
-    environment variable). Parallel execution needs a workload that
-    worker processes can rebuild (``workload.scale`` set, i.e. built by
-    ``make_workload``); otherwise the serial path runs regardless.
+    environment variable). The workload must be one worker processes
+    can rebuild (built by ``make_workload``, so ``workload.scale`` is
+    set); anything else raises :class:`ValueError`.
     """
-    if environment is None:
-        environment = calibrate_environment(measure_precise_cycles(workload), setup)
-    if reference is None:
-        reference = workload.decoded_reference()
     jobs = experiment_jobs() if jobs is None else max(1, jobs)
-
-    result = BenchmarkResult(workload.name, mode, bits, runtime)
-    if workload.scale is not None:
-        # All rebuildable workloads route through the spec path, serial
-        # or parallel: it shares the per-process kernel/workload/record
-        # caches (and the REPRO_REPLAY engine) with pool workers, and a
-        # sample's result is a deterministic function of its spec either
-        # way. Only ad-hoc workloads (scale=None, not reproducible from
-        # a name) take the legacy inline loop below.
-        store = experiment_store()
-        fingerprint = None
-        if store is not None:
-            fingerprint = config_fingerprint(
-                workload.name, workload.scale, mode, bits, runtime,
-                setup, environment, _fingerprint_reference(workload, reference),
-            )
-            hit = _store_lookup(store, fingerprint)
-            if hit is not None:
-                result.runs.extend(hit)
-                return _finish_result(result, setup)
-        resume_dir = experiment_resume_dir()
-        key = None
-        if resume_dir is not None:
-            key = _resume_key(
-                workload.name, workload.scale, mode, bits, runtime,
-                setup, environment,
-            )
-            cached = _load_resumed(resume_dir, key)
-            if cached is not None:
-                result.runs.extend(cached)
-                if store is not None:
-                    store.put(
-                        fingerprint,
-                        _store_payload(result, fingerprint, workload.scale, setup),
-                    )
-                return _finish_result(result, setup)
-        specs = _sample_specs(workload, mode, bits, runtime, setup, environment, reference)
-        if experiment_batch():
-            # One configuration = one batch group; a lone config has
-            # nothing to shard, so it runs in-process.
-            result.runs.extend(_run_config_group(specs))
-        else:
-            result.runs.extend(_map_samples(specs, jobs))
-        if resume_dir is not None:
-            _save_resumed(resume_dir, key, result.runs)
-        if store is not None:
-            store.put(
-                fingerprint,
-                _store_payload(result, fingerprint, workload.scale, setup),
-            )
-        return _finish_result(result, setup)
-
-    kernel = build_anytime(workload, mode, bits)
-    energy = EnergyModel(
-        backup_overhead=NVP_BACKUP_OVERHEAD if runtime == "nvp" else 0.0
+    (result,) = _run_configs(
+        workload, [(mode, bits)], runtime, setup, environment, reference, jobs
     )
-    for trace_index, trace in enumerate(setup.traces()):
-        for invocation in range(setup.invocations):
-            if TRACER.enabled:
-                TRACER.emit(
-                    "sample_start", workload=workload.name,
-                    scale=workload.scale, mode=mode, bits=bits,
-                    runtime=runtime, trace=trace_index,
-                    invocation=invocation,
-                )
-            run = kernel.run_intermittent(
-                workload.inputs,
-                trace,
-                runtime=runtime,
-                capacitor=environment.capacitor(),
-                energy_model=energy,
-                start_tick=invocation * 313,
-                max_wall_ms=setup.max_wall_ms,
-                watchdog_cycles=(
-                    environment.watchdog_cycles
-                    if runtime in ("clank", "progress")
-                    else None
-                ),
-            )
-            if not run.result.completed:
-                raise IncompleteRun(
-                    f"{workload.name} [{mode}/{runtime}] did not complete on "
-                    f"trace {trace.name!r} within {setup.max_wall_ms} ms",
-                    outages=run.result.outages,
-                    active_cycles=run.result.active_cycles,
-                )
-            decoded = workload.decode(run.outputs)
-            error = nrmse(reference, decoded)
-            accuracy = workload.accuracy(decoded) if workload.accuracy else None
-            if TRACER.enabled:
-                TRACER.emit(
-                    "sample_end", engine="interp",
-                    completed=run.result.completed,
-                    skim_taken=run.result.skim_taken,
-                    wall_ms=run.result.wall_ms,
-                )
-            result.runs.append(
-                SampleRun(
-                    wall_ms=run.result.wall_ms,
-                    on_ms=run.result.on_ms,
-                    active_cycles=run.result.active_cycles,
-                    outages=run.result.outages,
-                    skim_taken=run.result.skim_taken,
-                    error=error,
-                    accuracy=accuracy,
-                    metrics=_sample_metrics(run, "interp", False, error, accuracy),
-                    ledger=_sample_ledger(run, energy),
-                )
-            )
-    return _finish_result(result, setup)
+    return result
 
 
 def run_benchmark_suite(
@@ -1285,90 +1080,10 @@ def run_benchmark_suite(
     every worker. Results come back per config, samples in grid order —
     identical to calling :func:`run_benchmark` per config serially.
     """
-    if environment is None:
-        environment = calibrate_environment(measure_precise_cycles(workload), setup)
-    if reference is None:
-        reference = workload.decoded_reference()
-    jobs = experiment_jobs()
-
-    if jobs <= 1 or workload.scale is None:
-        return [
-            run_benchmark(workload, mode, bits, runtime, setup, environment,
-                          reference, jobs=1)
-            for mode, bits in configs
-        ]
-
-    # Per-config caching, store first then resume: configurations the
-    # content-addressed store or a resume directory already hold are
-    # excluded from the pooled grid entirely, so a restarted (or
-    # re-submitted) run only pays for the work it actually lost.
-    store = experiment_store()
-    fingerprints: Dict[int, str] = {}
-    store_hits: Dict[int, bool] = {}
-    if store is not None:
-        fp_reference = _fingerprint_reference(workload, reference)
-        for index, (mode, bits) in enumerate(configs):
-            fingerprints[index] = config_fingerprint(
-                workload.name, workload.scale, mode, bits, runtime,
-                setup, environment, fp_reference,
-            )
-    resume_dir = experiment_resume_dir()
-    keys: Dict[int, str] = {}
-    cached: Dict[int, List[SampleRun]] = {}
-    for index, (mode, bits) in enumerate(configs):
-        hit = _store_lookup(store, fingerprints.get(index))
-        if hit is not None:
-            cached[index] = hit
-            store_hits[index] = True
-    if resume_dir is not None:
-        for index, (mode, bits) in enumerate(configs):
-            keys[index] = _resume_key(
-                workload.name, workload.scale, mode, bits, runtime,
-                setup, environment,
-            )
-            if index in cached:
-                continue
-            runs = _load_resumed(resume_dir, keys[index])
-            if runs is not None:
-                cached[index] = runs
-
-    spec_lists: List[List[SampleSpec]] = []
-    for index, (mode, bits) in enumerate(configs):
-        if index in cached:
-            continue
-        spec_lists.append(
-            _sample_specs(workload, mode, bits, runtime, setup, environment, reference)
-        )
-    if not spec_lists:
-        runs = []  # fully warm grid: nothing to execute, nothing to pool
-    elif experiment_batch():
-        # The batch walks one commit log per configuration, so the pool
-        # shards by config here — never by sample.
-        runs = [run for group in _map_groups(spec_lists, jobs) for run in group]
-    else:
-        all_specs = [spec for group in spec_lists for spec in group]
-        runs = _map_samples(all_specs, jobs)
-
-    per_config = setup.trace_count * setup.invocations
-    results = []
-    cursor = 0
-    for index, (mode, bits) in enumerate(configs):
-        result = BenchmarkResult(workload.name, mode, bits, runtime)
-        if index in cached:
-            result.runs.extend(cached[index])
-        else:
-            chunk = runs[cursor:cursor + per_config]
-            cursor += per_config
-            result.runs.extend(chunk)
-            if resume_dir is not None:
-                _save_resumed(resume_dir, keys[index], chunk)
-        if store is not None and not store_hits.get(index):
-            store.put(
-                fingerprints[index],
-                _store_payload(result, fingerprints[index], workload.scale, setup),
-            )
-        results.append(_finish_result(result, setup))
-    return results
+    return _run_configs(
+        workload, configs, runtime, setup, environment, reference,
+        experiment_jobs(),
+    )
 
 
 def median_speedup(baseline: BenchmarkResult, wn: BenchmarkResult) -> float:

@@ -35,7 +35,7 @@ MANIFEST_ENV = "REPRO_MANIFEST"
 
 #: Environment knobs worth stamping into every manifest.
 _ENV_KEYS = (
-    "REPRO_JOBS", "REPRO_REPLAY", "REPRO_TRACE", "REPRO_METRICS",
+    "REPRO_JOBS", "REPRO_TRACE", "REPRO_METRICS",
     "REPRO_PROFILE", "REPRO_LEDGER",
 )
 
@@ -90,9 +90,10 @@ class RunManifest:
     ) -> None:
         """Append one finished configuration's entry.
 
-        ``engine`` is ``"interp"`` or ``"replay"`` (what ``REPRO_REPLAY``
-        selected for the grid; individual samples may still have fallen
-        back, which the metrics rollup's ``engine.*`` counters show).
+        ``engine`` names the engine(s) that computed the samples, read
+        from the metrics rollup's ``engine.*`` counters: ``"interp"``,
+        ``"batch"``, or ``"batch+interp"`` when some batch lanes fell
+        back to the interpreter.
         """
         self.results.append(
             {

@@ -1,40 +1,49 @@
-"""Lane-parallel batched replay: one commit-log walk, N samples.
+"""Lane-parallel replay: one commit-log walk, N samples.
 
 One (workload, mode, bits) configuration shares a single commit log
-across its whole trace x invocation grid; the per-sample replay engine
-(:class:`~repro.runtime.replay_executor.ReplayExecutor`) nevertheless
-walks that log once *per sample*. The batch executor walks it once per
+(:class:`~repro.sim.replay.ReplayRecord`) across its whole trace x
+invocation grid. The batch executor walks that log once per
 *configuration*: every sample becomes a **lane** — its own real
 :class:`~repro.power.supply.PowerSupply`, replay policy, skim register
 and progress ledger — and the executor advances all lane cursors
-together, tick by tick.
+together, tick by tick. A single sample is a one-lane batch
+(:func:`repro.runtime.replay_executor.replay_intermittent`), so this is
+the only replay tick loop.
 
-Bit-exactness strategy: the per-lane state machine is a statement-level
-transcription of ``ReplayExecutor.run`` (and of
-``ClankReplayPolicy.run_chunk`` for the segmented clank walk) operating
-on the same scalar objects, so each lane performs the identical
-sequence of operations it would perform alone. What the batch adds is
-*shared, vectorized answers* to the three data-independent questions
-every lane asks — budget bisects (:func:`advance_lanes`), WAR horizons
+Bit-exactness strategy: each lane drives the *same* control flow as
+:meth:`repro.runtime.executor.IntermittentExecutor.run` — charge,
+restore, tick budgeting, pending-overhead carry, watchdog chunking, the
+Hibernus snapshot reserve, outage bookkeeping — against the log instead
+of a live CPU: executing a chunk is a bisect over cost prefix sums,
+restoring a checkpoint is rewinding a stream position. Lanes operate on
+their own scalar objects, so each performs the identical sequence of
+operations it would perform alone. What the batch adds is *shared,
+vectorized answers* to the three data-independent questions every lane
+asks — budget bisects (:func:`advance_lanes`), WAR horizons
 (:class:`~repro.sim.batch_replay.BatchIndex`, memoized on the record)
 and off-phase charge fast-forwarding — each proven identical to its
 scalar counterpart in :mod:`repro.sim.batch_replay`. Without numpy the
-same lane-cursor loop runs on the scalar kernels: still one log walk
-and one policy-event loop for N samples, just without the vector math.
+same lane-cursor loop runs on the scalar kernels.
 
-Demotion: a lane whose walk leaves the happy path — a policy divergence
-(:class:`~repro.sim.replay.ReplayDiverged`), a forward-progress stall
-or a dead trace (:class:`~repro.errors.ProgressStall` /
-:class:`~repro.power.supply.SupplyExhausted`) — is dropped from the
-batch and reported as ``None``; the caller re-runs just that sample on
-the per-sample path, which reproduces the scalar behavior exactly
-(including the interpreter fallback). Whole groups are refused (all
-``None``) when the record is not replayable or event tracing is on.
+Two situations leave the log:
+
+* **Skim handoff** — a restore consumes an armed skim register. The
+  post-skim suffix (checkpoint registers + skim-target PC) was never
+  recorded, so the lane's finish reconstructs the concrete CPU + memory
+  state at the cut from the nearest keyframe and store log, and hands
+  the *same* supply and skim register to a live
+  :class:`~repro.runtime.executor.IntermittentExecutor` for the rest.
+* **Demotion** — a policy divergence
+  (:class:`~repro.sim.replay.ReplayDiverged`), a forward-progress stall
+  or a dead trace (:class:`~repro.errors.ProgressStall` /
+  :class:`~repro.power.supply.SupplyExhausted`) drops the lane from the
+  batch; it keeps the exception, which :func:`run_lanes` hands back.
+  Every lane is demoted when the record is not replayable.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.anytime import IntermittentRun
 from ..errors import ProgressStall
@@ -48,21 +57,96 @@ from ..sim.batch_replay import (
     trace_energy_array,
 )
 from ..sim.replay import ReplayDiverged, ReplayRecord
-from .executor import IDLE_TICK_LIMIT, STALLED_RESTORE_LIMIT
-from .replay_executor import (
-    _LIVELOCK_MESSAGE,
-    _make_policy,
-    finish_replay_run,
+from .base import ReplayPolicy
+from .checkpoint import Checkpoint
+from .clank import ClankReplayPolicy, ClankRuntime
+from .executor import (
+    IDLE_TICK_LIMIT,
+    STALLED_RESTORE_LIMIT,
+    IntermittentExecutor,
+    RunResult,
+    check_sample_deadline,
+)
+from .hibernus import HibernusReplayPolicy, HibernusRuntime
+from .nvp import NVPReplayPolicy, NVPRuntime
+from .progress import (
+    ProgressReplayPolicy,
+    ProgressRuntime,
+    output_ranges_of,
+    output_store_positions,
 )
 from .skim import SkimRegister
 
-#: Exceptions that demote one lane to the per-sample path.
+#: Exceptions that demote one lane out of the batch.
 _DEMOTE = (ReplayDiverged, ProgressStall)
 
 _RUN = 0
-_TICK = 1  # charged and restored this round; participates in the tick
-_FINISHED = 2  # halted, timed out, or cut at a skim point
-_DEMOTED = 3
+_FINISHED = 1  # halted, timed out, or cut at a skim point
+_DEMOTED = 2
+
+_LIVELOCK_MESSAGE = (
+    "forward-progress livelock: 64 consecutive "
+    "restores resumed from the same state; no "
+    "progress survives the power cycles. Enlarge "
+    "the storage capacitor or shorten the "
+    "runtime's watchdog/checkpoint period."
+)
+
+
+def _make_policy(
+    runtime: str,
+    record: ReplayRecord,
+    skim: SkimRegister,
+    watchdog_cycles: Optional[int],
+    kernel=None,
+) -> ReplayPolicy:
+    if runtime == "clank":
+        kwargs = {}
+        if watchdog_cycles is not None:
+            kwargs["watchdog_cycles"] = watchdog_cycles
+        return ClankReplayPolicy(record, skim, **kwargs)
+    if runtime == "progress":
+        kwargs = {}
+        if watchdog_cycles is not None:
+            kwargs["watchdog_cycles"] = watchdog_cycles
+        positions = output_store_positions(record, output_ranges_of(kernel))
+        return ProgressReplayPolicy(record, skim, positions, **kwargs)
+    if runtime == "nvp":
+        return NVPReplayPolicy(record, skim)
+    if runtime == "hibernus":
+        return HibernusReplayPolicy(record, skim)
+    raise ValueError(
+        f"unknown runtime {runtime!r} "
+        "(want 'clank', 'progress', 'nvp' or 'hibernus')"
+    )
+
+
+def _make_handoff_runtime(
+    runtime: str, skim: SkimRegister, watchdog_cycles: Optional[int], kernel=None
+):
+    if runtime == "clank":
+        kwargs = {"skim": skim}
+        if watchdog_cycles is not None:
+            kwargs["watchdog_cycles"] = watchdog_cycles
+        return ClankRuntime(**kwargs)
+    if runtime == "progress":
+        kwargs = {"skim": skim}
+        if watchdog_cycles is not None:
+            kwargs["watchdog_cycles"] = watchdog_cycles
+        return ProgressRuntime(output_ranges_of(kernel), **kwargs)
+    if runtime == "nvp":
+        return NVPRuntime(skim=skim)
+    return HibernusRuntime(skim=skim)
+
+
+def _merge_stats(into, other) -> None:
+    into.checkpoints += other.checkpoints
+    into.checkpoint_cycles += other.checkpoint_cycles
+    into.restores += other.restores
+    into.restore_cycles += other.restore_cycles
+    into.war_violations += other.war_violations
+    into.watchdog_checkpoints += other.watchdog_checkpoints
+    into.extra.update(other.extra)
 
 
 class _Lane:
@@ -74,6 +158,7 @@ class _Lane:
         "pending", "pending_kind", "stalled", "last_signature", "idle",
         "state", "skim_cut", "timed_out", "volatile", "jit", "interval",
         "budget", "used", "reserved", "chunk", "ckpt_before", "ran",
+        "error",
         "_cur", "_consumed", "_war", "_stop", "_adv",
     )
 
@@ -100,11 +185,19 @@ class _Lane:
         self.last_signature = None
         self.idle = 0
         self.state = _RUN
-        self.skim_cut = None
+        #: Set when a restore consumed an armed skim register:
+        #: (cut position, skim target, pending restore overhead).
+        self.skim_cut: Optional[tuple] = None
         self.timed_out = False
         self.volatile = self.policy.name != "nvp"
         self.jit = getattr(self.policy, "on_low_voltage", None)
         self.interval = self.policy.watchdog_cycles
+        #: The exception that demoted this lane, if any.
+        self.error: Optional[Exception] = None
+
+    def demote(self, error: Exception) -> None:
+        self.state = _DEMOTED
+        self.error = error
 
 
 class BatchReplayExecutor:
@@ -130,9 +223,9 @@ class BatchReplayExecutor:
                 policy = lane.policy
                 supply = lane.supply
                 try:
-                    # Mirror of ReplayExecutor.run's loop head: the
-                    # while-condition halt check, then the timeout
-                    # check, then the charge + restore block.
+                    # The loop head: halt check, timeout check, the
+                    # cooperative wall-clock deadline, then the charge +
+                    # restore block.
                     if policy.halted:
                         lane.state = _FINISHED
                         continue
@@ -140,6 +233,7 @@ class BatchReplayExecutor:
                         lane.timed_out = True
                         lane.state = _FINISHED
                         continue
+                    check_sample_deadline(supply.tick)
                     if not supply.on:
                         if lane.energies is not None and len(lane.energies):
                             charge_until_on_fast(supply, lane.energies)
@@ -148,7 +242,14 @@ class BatchReplayExecutor:
                         armed_before = lane.skim.armed
                         lane.pending = policy.on_restore()
                         lane.pending_kind = "restore"
-                        if armed_before and not lane.skim.armed:
+                        took_skim = armed_before and not lane.skim.armed
+                        if TRACER.enabled:
+                            TRACER.emit(
+                                "restore", tick=supply.tick,
+                                cost=lane.pending, runtime=policy.name,
+                                skim=took_skim, engine="batch",
+                            )
+                        if took_skim:
                             lane.skim_cut = (
                                 policy.resume_position,
                                 policy.skim_redirect,
@@ -156,6 +257,11 @@ class BatchReplayExecutor:
                             )
                             lane.state = _FINISHED
                             continue
+                        # Forward-progress guard, keyed on the resume
+                        # position: the stream is deterministic, so
+                        # equal positions mean the identical
+                        # architectural state the live executor
+                        # fingerprints with (pc, registers).
                         signature = policy.resume_position
                         if signature == lane.last_signature:
                             lane.stalled += 1
@@ -169,8 +275,8 @@ class BatchReplayExecutor:
                             lane.stalled = 0
                             lane.last_signature = signature
                     ticking.append(lane)
-                except _DEMOTE:
-                    lane.state = _DEMOTED
+                except _DEMOTE as exc:
+                    lane.demote(exc)
             if ticking:
                 self._tick(ticking)
             active = [lane for lane in ticking if lane.state == _RUN]
@@ -233,6 +339,9 @@ class BatchReplayExecutor:
             nxt: List[_Lane] = []
             for lane in work:
                 ran = lane.ran
+                # WAR checkpoints are charged inside the chunk (the twin
+                # of the live store hook); the stats delta separates
+                # them from program progress.
                 ckpt_in_chunk = (
                     lane.policy.stats.checkpoint_cycles - lane.ckpt_before
                 )
@@ -294,10 +403,15 @@ class BatchReplayExecutor:
                     else:
                         lane.ledger.commit()
                     lane.policy.on_outage()
+                    if TRACER.enabled:
+                        TRACER.emit(
+                            "outage", tick=lane.supply.tick,
+                            runtime=lane.policy.name, engine="batch",
+                        )
                     # A halted lane resolves at the next round's head,
-                    # exactly like the scalar loop's post-outage break.
-            except _DEMOTE:
-                lane.state = _DEMOTED
+                    # exactly like the live loop's post-outage break.
+            except _DEMOTE as exc:
+                lane.demote(exc)
 
     # -- chunk advancement ----------------------------------------------------
 
@@ -386,6 +500,12 @@ class BatchReplayExecutor:
                 policy.stats.checkpoint_cycles += policy.checkpoint_cycles
                 policy.checkpoint_pos = lane._cur
                 policy._war_in_chunk = True
+                if TRACER.enabled:
+                    TRACER.emit(
+                        "checkpoint", cause="war",
+                        cost=policy.checkpoint_cycles, position=lane._cur,
+                        runtime=policy.name, engine="batch",
+                    )
                 lane._cur += 1
                 segment.append(lane)
         for lane in lanes:
@@ -394,6 +514,111 @@ class BatchReplayExecutor:
             if lane._cur > policy.max_position:
                 policy.max_position = lane._cur
             lane.ran = lane._consumed
+
+
+def _finish_lane(kernel, record: ReplayRecord, inputs, lane: _Lane) -> IntermittentRun:
+    """Turn one finished lane walk into an :class:`IntermittentRun`:
+    output materialization, the skim handoff to live interpretation,
+    stats/ledger merging and result assembly. The caller holds
+    ``record.lock`` (``materialize_cpu`` resets the record's cached CPU
+    in place, and the live suffix runs on that CPU)."""
+    supply = lane.supply
+    policy = lane.policy
+    ledger = lane.ledger
+    if lane.skim_cut is None:
+        completed = policy.halted
+        if completed:
+            outputs = {k: list(v) for k, v in record.final_outputs.items()}
+        else:
+            watermark = policy.max_position
+            cpu = record.materialize_cpu(kernel, inputs, watermark, watermark)
+            outputs = kernel.read_outputs(cpu)
+        ledger.close()
+        result = RunResult(
+            completed=completed,
+            skim_taken=False,
+            timed_out=lane.timed_out,
+            wall_ms=supply.tick - lane.start_tick,
+            on_ms=supply.total_on_ms,
+            off_ms=supply.total_off_ms,
+            active_cycles=supply.total_cycles,
+            outages=supply.outages,
+            runtime_stats=policy.stats,
+            ledger=ledger,
+        )
+        return IntermittentRun(outputs=outputs, result=result)
+
+    # Skim handoff: rebuild the concrete state at the cut and run the
+    # rest live. Memory reflects the furthest position ever executed
+    # (re-executed stores rewrite identical values); the registers are
+    # the checkpoint's, and the PC jumps to the consumed skim target.
+    cut, target, pending = lane.skim_cut
+    cpu = record.materialize_cpu(kernel, inputs, cut, policy.max_position)
+    checkpoint = Checkpoint.from_cpu(cpu)
+    cpu.pc = target
+    cpu.halted = False
+    live_runtime = _make_handoff_runtime(
+        lane.runtime, lane.skim, lane.watchdog_cycles, kernel
+    )
+    live = IntermittentExecutor(cpu, supply, live_runtime)
+    if hasattr(live_runtime, "checkpoint"):
+        # The live runtime's entry checkpoint must be the *pre-skim*
+        # checkpoint: a skim jump does not move the backup location, so
+        # an outage before the next checkpoint rewinds behind the skim
+        # target (exactly what the live path does).
+        live_runtime.checkpoint = checkpoint
+    elapsed = supply.tick - lane.start_tick
+    # The live suffix continues the replay-side ledger: its
+    # re-execution debt is still owed, and the suffix repays it first.
+    handoff = live.run(
+        max_wall_ms=lane.max_wall_ms - elapsed, carry_overhead=pending,
+        ledger=ledger,
+    )
+    _merge_stats(policy.stats, handoff.runtime_stats)
+    result = RunResult(
+        completed=handoff.completed,
+        skim_taken=True,
+        timed_out=handoff.timed_out,
+        wall_ms=supply.tick - lane.start_tick,
+        on_ms=supply.total_on_ms,
+        off_ms=supply.total_off_ms,
+        active_cycles=supply.total_cycles,
+        outages=supply.outages,
+        runtime_stats=policy.stats,
+        ledger=ledger,
+    )
+    return IntermittentRun(outputs=kernel.read_outputs(cpu), result=result)
+
+
+def run_lanes(
+    kernel, record: ReplayRecord, inputs, lane_args: List[Dict]
+) -> List[Tuple[Optional[IntermittentRun], Optional[Exception]]]:
+    """Walk ``record`` once for every sample in ``lane_args``.
+
+    Returns one ``(run, error)`` pair per sample in order: the finished
+    run, or ``None`` and the exception its lane was demoted with. The
+    whole walk holds ``record.lock``, so threads sharing a record (the
+    experiment service's workers) take turns on its scan state and its
+    cached materialization CPU."""
+    if not record.replayable:
+        error = ReplayDiverged(f"not-replayable: {record.reason}")
+        return [(None, error)] * len(lane_args)
+    with record.lock:
+        if record.batch is None:
+            index = build_batch_index(record)
+            record.batch = index if index is not None else False
+        lanes = [_Lane(record, args, kernel) for args in lane_args]
+        BatchReplayExecutor(record, lanes).run()
+        outcomes = []
+        for lane in lanes:
+            if lane.state != _DEMOTED:
+                try:
+                    outcomes.append((_finish_lane(kernel, record, inputs, lane), None))
+                    continue
+                except ReplayDiverged as exc:
+                    lane.error = exc
+            outcomes.append((None, lane.error))
+    return outcomes
 
 
 def run_batch_group(
@@ -408,34 +633,6 @@ def run_batch_group(
     ``runtime``, ``capacitor``, ``energy_model``, ``start_tick``,
     ``max_wall_ms`` and (for clank) ``watchdog_cycles``. Returns one
     :class:`IntermittentRun` per sample in order, with ``None`` for
-    demoted lanes the caller must re-run on the per-sample path.
+    demoted lanes (the caller interprets those samples live).
     """
-    if not lane_args:
-        return []
-    if not record.replayable or TRACER.enabled:
-        # Event tracing hooks live in the scalar paths only; a batch
-        # walk would silently drop its emissions.
-        return [None] * len(lane_args)
-    if record.batch is None:
-        index = build_batch_index(record)
-        record.batch = index if index is not None else False
-    lanes = [_Lane(record, args, kernel) for args in lane_args]
-    BatchReplayExecutor(record, lanes).run()
-
-    results: List[Optional[IntermittentRun]] = []
-    for lane in lanes:
-        if lane.state == _DEMOTED:
-            results.append(None)
-            continue
-        try:
-            results.append(
-                finish_replay_run(
-                    kernel, record, inputs, lane.runtime,
-                    lane.watchdog_cycles, lane.supply, lane.policy,
-                    lane.skim, lane.ledger, lane.skim_cut,
-                    lane.timed_out, lane.start_tick, lane.max_wall_ms,
-                )
-            )
-        except ReplayDiverged:
-            results.append(None)
-    return results
+    return [run for run, _error in run_lanes(kernel, record, inputs, lane_args)]

@@ -215,7 +215,7 @@ class ClankReplayPolicy(ReplayPolicy):
             if TRACER.enabled:
                 TRACER.emit(
                     "checkpoint", cause="war", cost=self.checkpoint_cycles,
-                    position=cursor, runtime=self.name, engine="replay",
+                    position=cursor, runtime=self.name, engine="batch",
                 )
             cursor += 1
         self.cursor = cursor
@@ -240,7 +240,7 @@ class ClankReplayPolicy(ReplayPolicy):
                 TRACER.emit(
                     "checkpoint", cause="watchdog",
                     cost=self.checkpoint_cycles, position=self.cursor,
-                    runtime=self.name, engine="replay",
+                    runtime=self.name, engine="batch",
                 )
             return self.checkpoint_cycles
         return 0

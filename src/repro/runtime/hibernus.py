@@ -137,7 +137,7 @@ class HibernusReplayPolicy(ReplayPolicy):
         if TRACER.enabled:
             TRACER.emit(
                 "checkpoint", cause="low_voltage", cost=self.snapshot_cycles,
-                position=self.cursor, runtime=self.name, engine="replay",
+                position=self.cursor, runtime=self.name, engine="batch",
             )
         return self.snapshot_cycles
 

@@ -239,7 +239,7 @@ class ProgressReplayPolicy(ClankReplayPolicy):
             if TRACER.enabled:
                 TRACER.emit(
                     "checkpoint", cause=cause, cost=cost_cycles,
-                    position=cursor, runtime=self.name, engine="replay",
+                    position=cursor, runtime=self.name, engine="batch",
                 )
             cursor += 1
         self.cursor = cursor

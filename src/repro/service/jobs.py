@@ -3,12 +3,11 @@
 These functions run in the service's worker threads, not on the event
 loop: :func:`prepare` does the (cached) calibration work needed to
 fingerprint a job, and :func:`compute` evaluates a cache miss with the
-same engine stack every other entry point uses — the batched replay
-engine first (one commit-log walk for the whole trace x invocation
-grid), demoting individual samples to the replay/interpreter paths
-exactly as ``REPRO_BATCH=1`` would. Results are therefore bit-identical
-to a serial CLI run of the same configuration, which is what lets the
-store serve them to everyone.
+record-plus-batch engine ``REPRO_BATCH=1`` selects on the CLI (one
+commit-log walk for the whole trace x invocation grid, demoting
+individual samples to the interpreter). Results are therefore
+bit-identical to a serial CLI run of the same configuration, which is
+what lets the store serve them to everyone.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ def compute(
     """Evaluate one cache miss; returns the store payload.
 
     When ``progress`` is given, the grid's **first sample** is executed
-    eagerly on the scalar path and reported as a ``level-k`` event
+    eagerly on the interpreter and reported as a ``level-k`` event
     before the batched full-grid pass starts — that sample *is* the
     paper's anytime answer (output accepted at a skim point when one is
     armed), so a client holds a usable approximation while the other

@@ -42,11 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..power.supply import SupplyExhausted
 
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 _LOAD = 1
 _STORE = 2
 
@@ -56,10 +51,17 @@ MIN_VECTOR_LANES = 4
 
 
 def numpy_or_none():
-    """The numpy module, or None when absent / disabled via env."""
-    if _np is None or os.environ.get("REPRO_BATCH_NUMPY", "1") == "0":
+    """The numpy module, or None when absent / disabled via env.
+
+    Imported on first use, so commands that never batch do not pay
+    numpy's import time."""
+    if os.environ.get("REPRO_BATCH_NUMPY", "1") == "0":
         return None
-    return _np
+    try:  # pragma: no cover - exercised via both CI legs
+        import numpy
+    except ImportError:  # pragma: no cover
+        return None
+    return numpy
 
 
 class BatchIndex:
@@ -233,7 +235,8 @@ def charge_until_on_fast(supply, energies, max_ms: int = 10_000_000) -> int:
     """
     if supply.on:
         return 0
-    np = _np
+    import numpy as np
+
     cap = supply.capacitor
     trace = supply.trace
     length = energies.shape[0]

@@ -24,7 +24,7 @@ is also the oracle the native one is tested against:
 * skim-register arm events (``SKM`` retires) and the final outputs.
 
 The log is consumed by
-:class:`repro.runtime.replay_executor.ReplayExecutor`, which re-runs
+:class:`repro.runtime.batch_executor.BatchReplayExecutor`, which re-runs
 the intermittent executor's control flow against pre-recorded costs
 instead of interpreting instructions. The record is only marked
 *replayable* when replay can be bit-exact: a plain functional-unit
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from threading import Lock
 from typing import Dict, List, Optional, Tuple
 
 #: Instructions between architectural keyframes. Reconstructing the
@@ -90,6 +91,7 @@ class ReplayRecord:
         "_war_scans",
         "_mat_cache",
         "_kf_images",
+        "lock",
     )
 
     def __init__(self, keyframe_interval: int):
@@ -131,6 +133,9 @@ class ReplayRecord:
         self._war_scans: Dict[int, list] = {}
         self._mat_cache: Optional[tuple] = None
         self._kf_images: dict = {}
+        #: Held by every walk over this record: the scan state and the
+        #: cached materialization CPU are shared by all its readers.
+        self.lock = Lock()
 
     # -- segment queries ----------------------------------------------------
 
@@ -287,9 +292,8 @@ class ReplayRecord:
 
         The CPU (with its decoded handlers) and the initial memory
         image are cached on the record: each call resets the cached
-        instance in place, so callers must be done with the previous
-        materialization when they ask for the next one (the experiment
-        harness runs samples strictly one at a time).
+        instance in place, so callers must hold :attr:`lock` until they
+        are done with the materialization.
         """
         cache = self._mat_cache
         if cache is not None and cache[0] is kernel and cache[1] is inputs:

@@ -1,20 +1,19 @@
 """The content-addressed result store (``REPRO_STORE``).
 
-``REPRO_RESUME`` (PR 5) persists one *run's* per-config samples so an
-interrupted grid can restart. This module generalizes that idea into a
-**global cache shared across runs and entry points**: every finished
+A **global cache shared across runs and entry points**: every finished
 configuration — a ``(workload, scale, mode, bits, runtime, grid shape,
 calibrated environment)`` tuple — is keyed by the sha256 of its
 canonical JSON description and stored under
 ``<root>/<aa>/<fingerprint>.json``. ``python -m repro run``, the figure
 experiments, ``bench --grid``'s warm phase and the experiment service
 (:mod:`repro.service`) all read and write the same store, so a
-configuration is never evaluated twice anywhere on a machine.
+configuration is never evaluated twice anywhere on a machine, and an
+interrupted grid restarts from the configurations it already stored.
 
 Design rules (docs/SERVICE.md spells them out):
 
 * **Engine-irrelevant keys.** The execution engine (interpreter /
-  replay / batch), ``REPRO_JOBS`` and the observability sinks never
+  batch), ``REPRO_JOBS`` and the observability sinks never
   enter the fingerprint: all of them are bit-identical by contract
   (enforced in ``tests/test_batch_replay.py``), so a result computed
   under any of them can be served to all of them.
@@ -46,9 +45,9 @@ from typing import Dict, Iterator, List, Optional
 
 #: Version of the stored result payload. Bump when the meaning or shape
 #: of a SampleRun / metrics / ledger rollup changes: the bump flows into
-#: every fingerprint (and the ``REPRO_RESUME`` key), so all existing
-#: cache entries become unreachable and recompute — stale caches
-#: self-invalidate instead of serving old-shape data.
+#: every fingerprint, so all existing cache entries become unreachable
+#: and recompute — stale caches self-invalidate instead of serving
+#: old-shape data.
 RESULT_SCHEMA_VERSION = 3  # v3: entries carry a content checksum (fsck)
 
 #: Environment variable naming the store's root directory.
@@ -123,7 +122,7 @@ def result_payload(
     """The on-disk value for one configuration.
 
     ``runs`` is the full sample list (every field, metrics and ledger
-    included — the same dicts ``REPRO_RESUME`` persists); ``metrics``
+    included); ``metrics``
     and ``ledger`` are the *merged* per-configuration rollups, stored
     alongside so ``repro report --live`` renders without re-merging.
     The embedded ``checksum`` pins the content for ``store fsck``."""

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import List
 
-import numpy as np
-
 
 def synthetic_image(height: int, width: int, seed: int = 0, depth_bits: int = 8) -> List[int]:
     """A grayscale test image: gradient + blobs + texture.
@@ -23,6 +21,8 @@ def synthetic_image(height: int, width: int, seed: int = 0, depth_bits: int = 8)
     precision for time). Structured content (edges, smooth regions)
     makes convolution quality visually meaningful, unlike white noise.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     y, x = np.mgrid[0:height, 0:width].astype(float)
     image = 40.0 + 120.0 * (x / max(width - 1, 1))
@@ -47,6 +47,8 @@ def synthetic_image(height: int, width: int, seed: int = 0, depth_bits: int = 8)
 def gaussian_filter(k: int, frac_bits: int = 8) -> List[int]:
     """A k x k Gaussian kernel in fixed point, coefficients summing to
     ``2**frac_bits`` so the convolution output renormalizes by a shift."""
+    import numpy as np
+
     sigma = k / 4.0
     center = (k - 1) / 2.0
     weights = np.array(
@@ -66,12 +68,16 @@ def gaussian_filter(k: int, frac_bits: int = 8) -> List[int]:
 
 def matrix(n: int, seed: int, low: int = 0, high: int = 255) -> List[int]:
     """Random integer matrix entries (row-major)."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return [int(v) for v in rng.integers(low, high + 1, size=n * n)]
 
 
 def sensor_series(count: int, seed: int, base: float, swing: float, scale: float = 1.0) -> List[int]:
     """A slowly varying sensor series (diurnal + noise), non-negative ints."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     t = np.arange(count)
     values = base + swing * np.sin(2 * math.pi * t / max(count, 2)) + rng.normal(0, swing * 0.15, count)
@@ -88,6 +94,8 @@ def class_prototypes(
     of its dot product with the prototype. The NN workloads use these
     rows both to plant class structure in their synthetic datasets and as
     fixed first-layer weights."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     rows = rng.integers(-amplitude, amplitude + 1, size=(classes, dim)).astype(np.int64)
     protos: List[List[int]] = []
@@ -120,6 +128,8 @@ def labeled_samples(
     flattened samples and the label list; both are deterministic in the
     seed, so worker processes rebuilding a workload from (name, scale)
     reproduce the exact dataset."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     protos = np.asarray(prototypes, dtype=np.int64)
     labels = [int(v) for v in rng.integers(0, len(prototypes), size=count)]
@@ -135,6 +145,8 @@ def filter_bank(filters: int, k: int, seed: int, amplitude: int = 48) -> List[in
 
     Zero-sum taps make the convolution blind to the image's constant
     offset, so the CNN's feature maps respond to structure only."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     taps = rng.integers(-amplitude, amplitude + 1, size=(filters, k * k)).astype(np.int64)
     flat: List[int] = []
@@ -159,6 +171,8 @@ def pattern_images(
     giving each class a distinctive low-frequency pattern that survives
     3x3 convolution + pooling — the planted structure the CNN workload
     classifies."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     images: List[List[int]] = []
     grid = np.linspace(0.0, 3.0, side)
@@ -179,6 +193,8 @@ def noisy_image_batch(
     Returns ``count`` images (flattened, concatenated) where image ``b``
     is prototype ``labels[b]`` plus gaussian pixel noise, clamped to the
     16-bit range."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     protos = np.asarray(prototypes, dtype=np.int64)
     labels = [int(v) for v in rng.integers(0, len(prototypes), size=count)]
@@ -192,6 +208,8 @@ def noisy_image_batch(
 def motion_magnitudes(count: int, seed: int, peak: int = 4000) -> List[int]:
     """Per-interval movement magnitudes for wildlife tracking: long calm
     stretches with bursts of travel."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     values = rng.gamma(0.6, peak * 0.15, size=count)
     bursts = rng.random(count) < 0.15

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
-
 from ..compiler.ir import Array, Assign, BinOp, Const, Kernel, Load, Loop, Pragma, Store, Var
 from .base import Workload, check_scale, top1_accuracy
 from .data import class_prototypes, labeled_samples
@@ -93,6 +91,8 @@ def decode(outputs: Dict[str, List[int]]) -> List[float]:
 
 def make(scale: str = "default", seed: int = 6, bits: int = 8) -> Workload:
     """Build the FC workload: planted-prototype dataset + matched weights."""
+    import numpy as np
+
     check_scale(scale)
     batch, dim, classes = SHAPES[scale]
     prototypes = class_prototypes(classes, dim, seed, AMPLITUDE)

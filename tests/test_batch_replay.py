@@ -1,20 +1,28 @@
 """The lane-parallel batched replay backend must be bit-exact.
 
 ``REPRO_BATCH=1`` walks each configuration's commit log once for all
-its (trace, invocation) samples. Everything observable must match the
-per-sample engines: SampleRun fields vs the interpreter (the repo's
-differential bar), metrics and ledger buckets *exactly* vs the replay
-engine (which shares its overhead classification), byte-identical
-results between serial and ``REPRO_JOBS`` runs, and identical output
-with and without numpy. The vector kernels (WAR oracle, lane advance,
-charge fast-forward) are additionally checked one-to-one against the
-scalar code they replace.
+its (trace, invocation) samples. Everything observable must match:
+SampleRun fields vs the interpreter (the repo's differential bar),
+metrics and ledger buckets *exactly* between a whole-grid batch and
+the one-lane-at-a-time walk the harness takes under a sample timeout,
+byte-identical results between serial and ``REPRO_JOBS`` runs, and
+identical output with and without numpy. The vector kernels (WAR
+oracle, lane advance, charge fast-forward) are additionally checked
+one-to-one against the scalar code they replace. Service worker threads
+that share one commit log must get the serial answers.
 """
+
+import threading
+import time
 
 import pytest
 
+import repro.experiments.common as common
 from repro.experiments.common import (
     ExperimentSetup,
+    _run_config_group,
+    _sample_run_to_dict,
+    _sample_specs,
     _worker_records,
     build_anytime,
     calibrate_environment,
@@ -33,7 +41,7 @@ from repro.sim.batch_replay import (
     numpy_or_none,
     trace_energy_array,
 )
-from repro.sim.replay import record_run
+from repro.sim.replay import ReplayRecord, record_run
 from repro.workloads import make_workload
 
 needs_numpy = pytest.mark.skipif(
@@ -50,8 +58,8 @@ def _environment(workload, setup):
 
 
 def _serial_env(monkeypatch):
-    for key in ("REPRO_JOBS", "REPRO_REPLAY", "REPRO_BATCH",
-                "REPRO_BATCH_NUMPY"):
+    for key in ("REPRO_JOBS", "REPRO_BATCH", "REPRO_BATCH_NUMPY",
+                "REPRO_SAMPLE_TIMEOUT"):
         monkeypatch.delenv(key, raising=False)
 
 
@@ -64,7 +72,7 @@ def _grid_runs(workload, configs, runtime, setup, environment, reference):
 
 def _rollups(runs):
     """(counters-sans-engine, observations, ledger) per sample — the
-    strict comparison the replay and batch engines must share."""
+    strict comparison every batch walk must share."""
     out = []
     for run in runs:
         counters = {
@@ -105,7 +113,7 @@ class TestGridDifferential:
         assert batched == len(batch), "some samples demoted off the batch path"
 
     @pytest.mark.parametrize("workload_name", ["MatMul", "Var"])
-    @pytest.mark.parametrize("runtime", ["clank", "nvp", "hibernus"])
+    @pytest.mark.parametrize("runtime", ["clank", "nvp", "hibernus", "progress"])
     def test_runtime_grid_batch_identical(
         self, monkeypatch, workload_name, runtime
     ):
@@ -129,8 +137,9 @@ class TestGridDifferential:
 
     def test_batch_matches_replay_rollups_exactly(self, monkeypatch):
         """Metrics and ledger buckets — excluded from SampleRun equality
-        — must match the replay engine to the last integer and float:
-        both engines classify useful/reexec/overhead identically."""
+        — must match between the whole-grid batch and one-lane replay
+        (the walk an armed sample timeout selects) to the last integer
+        and float, engine counters included."""
         _serial_env(monkeypatch)
         setup = _setup()
         workload = make_workload("MatMul", setup.scale)
@@ -140,16 +149,17 @@ class TestGridDifferential:
             ("precise", None), (workload.technique, 8), (workload.technique, 4)
         ]
 
-        monkeypatch.setenv("REPRO_REPLAY", "1")
+        monkeypatch.setenv("REPRO_BATCH", "1")
+        monkeypatch.setenv("REPRO_SAMPLE_TIMEOUT", "600")
         _worker_records.clear()
         replay = _grid_runs(workload, configs, "clank", setup, environment, reference)
-        monkeypatch.delenv("REPRO_REPLAY")
-        monkeypatch.setenv("REPRO_BATCH", "1")
+        monkeypatch.delenv("REPRO_SAMPLE_TIMEOUT")
         _worker_records.clear()
         batch = _grid_runs(workload, configs, "clank", setup, environment, reference)
 
         assert batch == replay
         assert _rollups(batch) == _rollups(replay)
+        assert [r.metrics for r in batch] == [r.metrics for r in replay]
 
     def test_batch_numpy_fallback_identical(self, monkeypatch):
         """REPRO_BATCH_NUMPY=0 (the no-numpy code path) changes nothing
@@ -230,19 +240,19 @@ class TestLedgerAgreement:
         """MatMul swp 8-bit on Clank at the paper's 9 x 3 grid: sample 14
         (trace 4, invocation 2) takes a skim handoff while re-execution
         debt is outstanding. The live suffix must keep repaying that
-        debt, so replay and batch book every bucket exactly as the
-        interpreter does."""
+        debt, so one-lane replay and the whole-grid batch book every
+        bucket exactly as the interpreter does."""
         _serial_env(monkeypatch)
         setup = ExperimentSetup(trace_count=9, invocations=3)
         workload = make_workload("MatMul", setup.scale)
         environment = _environment(workload, setup)
         reference = workload.decoded_reference()
 
-        def ledgers(engine_flag):
-            for key in ("REPRO_REPLAY", "REPRO_BATCH"):
+        def ledgers(**env):
+            for key in ("REPRO_BATCH", "REPRO_SAMPLE_TIMEOUT"):
                 monkeypatch.delenv(key, raising=False)
-            if engine_flag:
-                monkeypatch.setenv(engine_flag, "1")
+            for key, value in env.items():
+                monkeypatch.setenv(key, value)
             _worker_records.clear()
             result = run_benchmark(
                 workload, workload.technique, 8, "clank", setup,
@@ -250,10 +260,102 @@ class TestLedgerAgreement:
             )
             return [run.ledger["cycles"] for run in result.runs]
 
-        interp = ledgers(None)
-        assert ledgers("REPRO_REPLAY") == interp
-        assert ledgers("REPRO_BATCH") == interp
+        interp = ledgers()
+        assert ledgers(REPRO_BATCH="1", REPRO_SAMPLE_TIMEOUT="600") == interp
+        assert ledgers(REPRO_BATCH="1") == interp
         assert interp[14]["reexec"] == 16
+
+
+class TestServiceThreads:
+    """The experiment service computes configurations on a thread pool,
+    and jobs that differ only in runtime share one commit log."""
+
+    RUNTIMES = ("clank", "nvp", "hibernus")
+
+    @staticmethod
+    def _in_threads(groups):
+        results = {}
+        errors = []
+
+        def work(runtime):
+            try:
+                results[runtime] = _run_config_group(groups[runtime])
+            except Exception as exc:  # pragma: no cover - the failure case
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=(runtime,)) for runtime in groups
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+            assert not thread.is_alive(), "a worker thread never finished"
+        assert not errors, errors
+        return results
+
+    def test_shared_record_gives_serial_results(self, monkeypatch):
+        """MatMul swp 8-bit at the paper's 9 x 3 grid: lanes under
+        different runtimes materialize the shared record's CPU for skim
+        handoffs. Two threads are made to materialize back to back; the
+        second must not reset the CPU the first is still running on."""
+        _serial_env(monkeypatch)
+        setup = ExperimentSetup(trace_count=9, invocations=3)
+        workload = make_workload("MatMul", setup.scale)
+        environment = _environment(workload, setup)
+        groups = {
+            runtime: _sample_specs(
+                workload, "swp", 8, runtime, setup, environment, None
+            )
+            for runtime in self.RUNTIMES
+        }
+        _worker_records.clear()
+        serial = {
+            runtime: [_sample_run_to_dict(run) for run in _run_config_group(specs)]
+            for runtime, specs in groups.items()
+        }
+
+        barrier = threading.Barrier(2, timeout=1.0)
+        real = ReplayRecord.materialize_cpu
+
+        def rendezvous(self, *args):
+            cpu = real(self, *args)
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass  # the other thread waits for the record lock
+            return cpu
+
+        monkeypatch.setattr(ReplayRecord, "materialize_cpu", rendezvous)
+        threaded = self._in_threads(groups)
+        assert {
+            runtime: [_sample_run_to_dict(run) for run in runs]
+            for runtime, runs in threaded.items()
+        } == serial
+
+    def test_threads_record_each_kernel_once(self, monkeypatch):
+        _serial_env(monkeypatch)
+        setup = _setup()
+        workload = make_workload("MatMul", setup.scale)
+        environment = _environment(workload, setup)
+        groups = {
+            runtime: _sample_specs(
+                workload, "swp", 8, runtime, setup, environment, None
+            )
+            for runtime in self.RUNTIMES
+        }
+        calls = []
+        real = common.record_run
+
+        def slow_record(kernel, inputs):
+            calls.append(kernel)
+            time.sleep(0.2)  # every thread arrives while the first records
+            return real(kernel, inputs)
+
+        monkeypatch.setattr(common, "record_run", slow_record)
+        _worker_records.clear()
+        self._in_threads(groups)
+        assert len(calls) == 1
 
 
 class TestVectorKernels:

@@ -1,5 +1,9 @@
 """Tests for the `python -m repro` command-line interface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
@@ -10,6 +14,24 @@ class TestCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig10" in out and "table1" in out and "ablation-memo" in out
+
+    def test_list_leaves_numpy_unimported(self):
+        """numpy is imported by the functions that use it, so commands
+        that never compute (and every server boot) skip its import."""
+        code = (
+            "import contextlib, io, sys\n"
+            "from repro.__main__ import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['list'])\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={"PYTHONPATH": str(src), "PATH": ""}, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
     def test_run_areapower(self, capsys):
         assert main(["run", "areapower"]) == 0

@@ -162,22 +162,24 @@ class TestWorkerCacheStatelessness:
 
     @pytest.mark.parametrize("replay", [False, True])
     def test_warm_cache_matches_cold_start(self, monkeypatch, replay):
-        from repro.experiments.common import _run_sample
+        """The pool's unit of work, on the interpreter or (``replay``)
+        the batch engine, is independent of what the caches hold."""
+        from repro.experiments.common import _run_group
 
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         if replay:
-            monkeypatch.setenv("REPRO_REPLAY", "1")
+            monkeypatch.setenv("REPRO_BATCH", "1")
         else:
-            monkeypatch.delenv("REPRO_REPLAY", raising=False)
+            monkeypatch.delenv("REPRO_BATCH", raising=False)
         spec = self._spec()
 
         self._clear_caches()
-        cold = _run_sample(spec)
-        warm = _run_sample(spec)  # second in-process run: all caches hot
+        cold = _run_group([spec])
+        warm = _run_group([spec])  # second in-process run: all caches hot
         assert warm == cold
 
         self._clear_caches()  # emulate a fresh worker process
-        fresh = _run_sample(spec)
+        fresh = _run_group([spec])
         assert fresh == cold
 
 

@@ -43,8 +43,8 @@ CLASSIFIERS = ("FC", "MLP", "CNN")
 
 
 def _serial_env(monkeypatch):
-    for key in ("REPRO_JOBS", "REPRO_REPLAY", "REPRO_BATCH",
-                "REPRO_BATCH_NUMPY"):
+    for key in ("REPRO_JOBS", "REPRO_BATCH", "REPRO_BATCH_NUMPY",
+                "REPRO_SAMPLE_TIMEOUT"):
         monkeypatch.delenv(key, raising=False)
 
 
@@ -166,7 +166,9 @@ class TestProgressPolicy:
         interp = run_benchmark(
             workload, "swp", 8, "progress", setup, environment, reference
         )
-        monkeypatch.setenv("REPRO_REPLAY", "1")
+        # An armed sample timeout walks the batch one lane at a time.
+        monkeypatch.setenv("REPRO_BATCH", "1")
+        monkeypatch.setenv("REPRO_SAMPLE_TIMEOUT", "600")
         _worker_records.clear()
         replay = run_benchmark(
             workload, "swp", 8, "progress", setup, environment, reference

@@ -40,7 +40,7 @@ TINY = ExperimentSetup(scale="tiny", trace_count=2, invocations=1)
 def _quiet_tracer(monkeypatch):
     """Every test starts with tracing off and no REPRO_* knobs set."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
-    monkeypatch.delenv("REPRO_REPLAY", raising=False)
+    monkeypatch.delenv("REPRO_BATCH", raising=False)
     monkeypatch.delenv("REPRO_METRICS", raising=False)
     monkeypatch.delenv("REPRO_MANIFEST", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -134,10 +134,9 @@ class TestMetrics:
 
 
 class TestTraceRoundTrip:
-    def _run_grid(self, tmp_path, monkeypatch, replay=True):
-        """A fig10-style MatMul grid with tracing (and replay) enabled."""
-        if replay:
-            monkeypatch.setenv("REPRO_REPLAY", "1")
+    def _run_grid(self, tmp_path, monkeypatch):
+        """A fig10-style MatMul grid with tracing and the batch engine."""
+        monkeypatch.setenv("REPRO_BATCH", "1")
         common._worker_records.clear()
         path = tmp_path / "grid.jsonl"
         TRACER.enable(str(path))
@@ -170,13 +169,13 @@ class TestTraceRoundTrip:
         # take) further skims; the trace can only show more, never fewer.
         assert summary.skim_takes >= harness_takes
         assert summary.outages == sum(s.outages for s in summary.samples)
-        # All samples replayed (MatMul is exactly replayable): no fallbacks.
+        # All samples batched (MatMul is exactly replayable): no fallbacks.
         assert not summary.fallback_reasons
-        assert set(summary.engines) == {"replay"}
+        assert set(summary.engines) == {"batch"}
 
     def test_fallback_reason_accounted(self, tmp_path, monkeypatch):
         """A non-replayable record must show up as a counted fallback."""
-        monkeypatch.setenv("REPRO_REPLAY", "1")
+        monkeypatch.setenv("REPRO_BATCH", "1")
         workload, env = _matmul_env()
         # Poison the record cache: the harness must fall back to the
         # interpreter and say why.
@@ -206,6 +205,30 @@ class TestTraceRoundTrip:
         counters = result.merged_metrics().counters
         assert counters["replay_fallbacks"] == len(result.runs)
         assert counters["engine.interp"] == len(result.runs)
+
+    def test_batch_trace_matches_interp_trace(self, tmp_path, monkeypatch):
+        """The batch engine's trace tells each sample's story as the
+        interpreter's does: same outages and checkpoints per sample."""
+        path, batch = self._run_grid(tmp_path, monkeypatch)
+        monkeypatch.delenv("REPRO_BATCH")
+        interp_path = tmp_path / "interp.jsonl"
+        TRACER.enable(str(interp_path))
+        workload, env = _matmul_env()
+        interp = [
+            run_benchmark(workload, mode, bits, "clank", TINY, env, jobs=1)
+            for mode, bits in (("precise", None), ("swp", 8), ("swp", 4))
+        ]
+        TRACER.disable()
+        assert [r.runs for r in batch] == [r.runs for r in interp]
+
+        def story(summary):
+            return [(s.outages, s.checkpoints) for s in summary.samples]
+
+        batch_summary = summarize_trace(str(path))
+        interp_summary = summarize_trace(str(interp_path))
+        assert set(interp_summary.engines) == {"interp"}
+        assert story(batch_summary) == story(interp_summary)
+        assert batch_summary.event_counts["record_run"] == 3
 
     def test_format_summary_renders(self, tmp_path, monkeypatch):
         path, _ = self._run_grid(tmp_path, monkeypatch)

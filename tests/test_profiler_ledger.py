@@ -51,7 +51,7 @@ TINY = ExperimentSetup(scale="tiny", trace_count=2, invocations=1)
 @pytest.fixture(autouse=True)
 def _quiet_observability(monkeypatch):
     """Every test starts with all REPRO_* observability knobs off."""
-    for key in ("REPRO_TRACE", "REPRO_REPLAY", "REPRO_METRICS",
+    for key in ("REPRO_TRACE", "REPRO_BATCH", "REPRO_METRICS",
                 "REPRO_MANIFEST", "REPRO_JOBS", "REPRO_PROFILE",
                 "REPRO_LEDGER"):
         monkeypatch.delenv(key, raising=False)
@@ -149,10 +149,12 @@ class TestLedgerExactness:
 
     @pytest.mark.parametrize("runtime", ["clank", "nvp"])
     def test_replay_engine_ledger_matches_interp(self, runtime, monkeypatch):
-        """The replay engine books the same buckets as the interpreter."""
+        """One-lane replay (the batch engine under an armed sample
+        timeout) books the same buckets as the interpreter."""
         workload, env = _matmul_env()
         interp = run_benchmark(workload, "swp", 8, runtime, TINY, env, jobs=1)
-        monkeypatch.setenv("REPRO_REPLAY", "1")
+        monkeypatch.setenv("REPRO_BATCH", "1")
+        monkeypatch.setenv("REPRO_SAMPLE_TIMEOUT", "600")
         replay = run_benchmark(workload, "swp", 8, runtime, TINY, env, jobs=1)
         assert interp.runs == replay.runs  # results identical first
         for a, b in zip(interp.runs, replay.runs):

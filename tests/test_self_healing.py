@@ -3,11 +3,14 @@
 * a worker process dying mid-grid never kills the run — its specs are
   retried serially with one aggregated stderr warning and the results
   are identical to an undisturbed run;
-* ``REPRO_RESUME=<dir>`` persists per-config results atomically, so an
-  interrupted ``REPRO_JOBS=4`` grid resumes bit-identically;
+* the result store (``REPRO_STORE=<dir>``) persists per-config results
+  atomically, so an interrupted ``REPRO_JOBS=4`` grid resumes
+  bit-identically;
 * ``REPRO_SAMPLE_TIMEOUT`` converts a pathological sample into a typed
-  :class:`~repro.errors.SampleTimeout` instead of a hang;
-* ``REPRO_FAULTS=<seed>`` swaps in deterministic adversarial traces.
+  :class:`~repro.errors.SampleTimeout` instead of a hang, on both
+  engines;
+* ``REPRO_FAULTS=<seed>`` swaps in deterministic adversarial traces,
+  which the batch engine reproduces exactly.
 """
 
 import os
@@ -26,6 +29,7 @@ from repro.experiments.common import (
     run_benchmark_suite,
 )
 from repro.runtime.executor import set_sample_deadline
+from repro.store.cas import config_fingerprint
 from repro.workloads import make_workload
 
 SETUP = ExperimentSetup(
@@ -58,7 +62,7 @@ class TestWorkerCrashRecovery:
     ):
         workload, environment = home
         parent = os.getpid()
-        real = common._execute_sample
+        real = common._run_sample
 
         def killer(spec):
             # Simulate the OOM killer taking one worker mid-sample; the
@@ -67,7 +71,7 @@ class TestWorkerCrashRecovery:
                 os._exit(1)
             return real(spec)
 
-        monkeypatch.setattr(common, "_execute_sample", killer)
+        monkeypatch.setattr(common, "_run_sample", killer)
         monkeypatch.setenv("REPRO_JOBS", "4")
         healed = run_benchmark(workload, "precise", None, "clank", SETUP, environment)
         assert healed.runs == reference.runs
@@ -83,7 +87,7 @@ class TestWorkerCrashRecovery:
         def always_incomplete(spec):
             raise IncompleteRun("sample can never finish", outages=9)
 
-        monkeypatch.setattr(common, "_execute_sample", always_incomplete)
+        monkeypatch.setattr(common, "_run_sample", always_incomplete)
         monkeypatch.setenv("REPRO_JOBS", "4")
         # The pool's failures are retried serially; the retry fails the
         # same way, so the typed error propagates instead of being eaten.
@@ -93,6 +97,8 @@ class TestWorkerCrashRecovery:
 
 
 class TestResume:
+    """Resuming an interrupted grid is the result store's job."""
+
     def test_interrupted_parallel_grid_resumes_bit_identical(
         self, home, monkeypatch, tmp_path
     ):
@@ -102,37 +108,36 @@ class TestResume:
             workload, CONFIGS, "clank", SETUP, environment
         )
 
-        monkeypatch.setenv("REPRO_RESUME", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
         # "Interrupt": only the first config finished before the crash.
         run_benchmark_suite(workload, CONFIGS[:1], "clank", SETUP, environment)
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        assert len(list(tmp_path.glob("*/*.json"))) == 1
 
         resumed = run_benchmark_suite(workload, CONFIGS, "clank", SETUP, environment)
         assert full_dicts(resumed) == full_dicts(uninterrupted)
-        assert len(list(tmp_path.glob("*.json"))) == len(CONFIGS)
+        assert len(list(tmp_path.glob("*/*.json"))) == len(CONFIGS)
 
-        # Everything cached now: a third run must not execute any spec.
+        # Everything stored now: a third run must not execute any sample.
         monkeypatch.setattr(
-            common, "_map_samples",
-            lambda specs, jobs: (
-                [] if not specs else pytest.fail("resume should skip execution")
-            ),
+            common, "_map_groups",
+            lambda *a: pytest.fail("resume should skip execution"),
         )
         cached = run_benchmark_suite(workload, CONFIGS, "clank", SETUP, environment)
         assert full_dicts(cached) == full_dicts(uninterrupted)
 
     def test_torn_resume_file_is_recomputed(self, home, monkeypatch, tmp_path):
         workload, environment = home
-        monkeypatch.setenv("REPRO_RESUME", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
         result = run_benchmark(workload, "precise", None, "clank", SETUP, environment)
-        (path,) = tmp_path.glob("*.json")
+        (path,) = tmp_path.glob("*/*.json")
         path.write_text('{"runs": [{"torn')  # a torn write from a crash
         again = run_benchmark(workload, "precise", None, "clank", SETUP, environment)
         assert again.runs == result.runs
+        assert full_dicts([again]) == full_dicts([result])
 
     def test_key_depends_on_environment(self, home):
         workload, environment = home
-        key_a = common._resume_key(
+        key_a = config_fingerprint(
             workload.name, workload.scale, "precise", None, "clank",
             SETUP, environment,
         )
@@ -141,7 +146,7 @@ class TestResume:
             watchdog_cycles=environment.watchdog_cycles,
             swing_cycles=environment.swing_cycles,
         )
-        key_b = common._resume_key(
+        key_b = config_fingerprint(
             workload.name, workload.scale, "precise", None, "clank",
             SETUP, other,
         )
@@ -176,6 +181,34 @@ class TestSampleTimeout:
 
         assert executor._SAMPLE_DEADLINE is None
 
+    def test_batch_expired_deadline_raises_typed_timeout(
+        self, home, monkeypatch
+    ):
+        """An armed timeout walks the batch one lane at a time, each
+        under its own deadline; an expired one surfaces typed."""
+        workload, environment = home
+        monkeypatch.setenv("REPRO_BATCH", "1")
+        monkeypatch.setenv("REPRO_SAMPLE_TIMEOUT", "0.0000001")
+        common._worker_records.clear()
+        with pytest.raises(SampleTimeout):
+            run_benchmark(workload, "swv", 8, "clank", SETUP, environment)
+        from repro.runtime import executor
+
+        assert executor._SAMPLE_DEADLINE is None
+
+    def test_batch_equals_interp_under_timeout(self, home, monkeypatch):
+        """A generous timeout changes nothing observable on either
+        engine, rollups included."""
+        workload, environment = home
+        monkeypatch.setenv("REPRO_SAMPLE_TIMEOUT", "600")
+        interp = run_benchmark(workload, "swv", 8, "clank", SETUP, environment)
+        monkeypatch.setenv("REPRO_BATCH", "1")
+        common._worker_records.clear()
+        batch = run_benchmark(workload, "swv", 8, "clank", SETUP, environment)
+        assert batch.runs == interp.runs
+        assert [r.ledger for r in batch.runs] == [r.ledger for r in interp.runs]
+        assert batch.merged_metrics().counters["engine.batch"] == len(batch.runs)
+
     def test_invalid_value_warns_once_and_disables(self, monkeypatch, capfd):
         monkeypatch.setenv("REPRO_SAMPLE_TIMEOUT", "soon")
         monkeypatch.setattr(common, "_timeout_warning_emitted", False)
@@ -193,6 +226,20 @@ class TestFaultsKnob:
         second = run_benchmark(workload, "precise", None, "clank", SETUP, environment)
         assert first.runs == second.runs
         assert first.runs != reference.runs  # the power really changed
+
+    @pytest.mark.parametrize("runtime", ["clank", "hibernus"])
+    def test_batch_equals_interp_under_faults(self, home, monkeypatch, runtime):
+        """Adversarial traces are a per-lane trace swap: the batch engine
+        runs them and books the interpreter's results and ledgers."""
+        workload, environment = home
+        monkeypatch.setenv("REPRO_FAULTS", "42")
+        interp = run_benchmark(workload, "swv", 8, runtime, SETUP, environment)
+        monkeypatch.setenv("REPRO_BATCH", "1")
+        common._worker_records.clear()
+        batch = run_benchmark(workload, "swv", 8, runtime, SETUP, environment)
+        assert batch.runs == interp.runs
+        assert [r.ledger for r in batch.runs] == [r.ledger for r in interp.runs]
+        assert batch.merged_metrics().counters["engine.batch"] == len(batch.runs)
 
     def test_invalid_seed_warns_once_and_disables(self, monkeypatch, capfd):
         monkeypatch.setenv("REPRO_FAULTS", "lots")

@@ -222,3 +222,23 @@ class TestCLI:
         monkeypatch.delenv("REPRO_STORE", raising=False)
         assert main(["report", "--live"]) == 2
         assert "REPRO_STORE" in capsys.readouterr().err
+
+
+def test_compute_labels_the_engine_that_ran(tmp_path, monkeypatch):
+    """A service computes misses on the batch engine whatever its own
+    environment says, and its manifest and metrics lines say so."""
+    from repro.observability import active_manifest, begin_manifest, finish_manifest
+    from repro.service.jobs import compute, prepare
+
+    monkeypatch.delenv("REPRO_BATCH", raising=False)
+    metrics_path = tmp_path / "metrics.jsonl"
+    monkeypatch.setenv("REPRO_METRICS", str(metrics_path))
+    begin_manifest(command="service compute")
+    try:
+        compute(prepare(JobSpec(**job())))
+        (entry,) = active_manifest().results
+    finally:
+        finish_manifest()
+    assert entry["engine"] == "batch"
+    (line,) = [json.loads(text) for text in metrics_path.read_text().splitlines()]
+    assert line["engine"] == "batch"

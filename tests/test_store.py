@@ -3,15 +3,14 @@
 * a warm store serves byte-identical results without executing a single
   sample, across both the serial and the ``REPRO_JOBS`` suite paths;
 * bumping the result schema (or the package version) changes every
-  fingerprint and the ``REPRO_RESUME`` key, so stale entries recompute
-  instead of being served;
+  fingerprint, so stale entries recompute instead of being served;
 * torn, truncated and foreign files load as misses and are overwritten;
 * concurrent writers (process pools and threads) never corrupt an
   entry, and hit == miss byte for byte;
 * ``REPRO_FAULTS`` disables the store entirely (chaos runs must stress
   recompute paths, not the cache);
 * ``bench --grid`` records each config's commit log exactly once — the
-  replay/batch/store engine passes reuse it, never re-record.
+  batch and store passes reuse it, never re-record.
 """
 
 import json
@@ -23,7 +22,6 @@ import repro.experiments.common as common
 import repro.store.cas as cas
 from repro.experiments.common import (
     ExperimentSetup,
-    _resume_key,
     _sample_run_to_dict,
     calibrate_environment,
     experiment_store,
@@ -61,7 +59,7 @@ def run_once(home):
 def forbid_execution(monkeypatch):
     """Any sample execution from here on fails the test."""
     monkeypatch.setattr(
-        common, "_map_samples",
+        common, "_map_groups",
         lambda *a, **k: pytest.fail("sample executed despite a warm store"),
     )
 
@@ -94,30 +92,26 @@ class TestStoreHits:
 
 
 class TestSelfInvalidation:
-    def test_schema_bump_changes_fingerprint_and_resume_key(
-        self, home, monkeypatch
-    ):
+    def test_schema_bump_changes_fingerprint(self, home, monkeypatch):
         workload, environment = home
         args = ("Home", "tiny", "swv", 8, "clank", SETUP, environment)
         before_fp = config_fingerprint(*args)
-        before_key = _resume_key(*args)
         monkeypatch.setattr(cas, "RESULT_SCHEMA_VERSION", 999)
         assert code_schema_tag().endswith("/999")
         assert config_fingerprint(*args) != before_fp
-        assert _resume_key(*args) != before_key
 
     def test_schema_bump_forces_recompute(self, home, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
         warm = run_once(home)
         monkeypatch.setattr(cas, "RESULT_SCHEMA_VERSION", 999)
         executed = []
-        real = common._map_samples
+        real = common._map_groups
 
-        def counting(specs, jobs):
-            executed.append(len(specs))
-            return real(specs, jobs)
+        def counting(groups, jobs):
+            executed.append(sum(len(group) for group in groups))
+            return real(groups, jobs)
 
-        monkeypatch.setattr(common, "_map_samples", counting)
+        monkeypatch.setattr(common, "_map_groups", counting)
         recomputed = run_once(home)
         # The old entry is unreachable under the bumped schema: the grid
         # really re-executed, and (determinism) matched the warm result.
@@ -199,7 +193,7 @@ class TestGridRecordsOnce:
         monkeypatch.setattr(common, "record_run", forbidden)
         payload = benchmarking.run_grid_bench(reps=1, scale="tiny")
         # One cold rebuild per rep per config (the timed record phase);
-        # the replay/batch/store passes all reuse those warm logs.
+        # the batch and store passes reuse those warm logs.
         assert len(record_calls) == 1 * 3
         assert not engine_calls
         assert payload["grid"]["identical"]
